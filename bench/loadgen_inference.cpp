@@ -7,9 +7,7 @@
 //                       [--out FILE] [--precomputed]
 //                       [--strict-precomputed] [--no-schedule]
 //                       [--shard-threads S] [--async-prefetch]
-//                       [--server-core thread|event] [--scaling]
-//                       [--trace FILE] [--io epoll|uring]
-//                       [--chaos SEED:RATE]
+//                       [--scaling] [--trace FILE] [--chaos SEED:RATE]
 //
 // Measurements:
 //   1. overlap: one streaming session over TCP loopback garbling a
@@ -40,15 +38,11 @@
 //      path disabled (copy fallback), so every BENCH file records
 //      bytes_copied_per_table_byte for both data planes side by side —
 //      the pooled-slab path must copy at least 2x less per shipped
-//      table byte. --io uring additionally routes sends through the
-//      io_uring submission path where the kernel supports it (the
-//      effective backend is recorded; unsupported hosts fall back to
-//      sendmsg and the JSON says so).
+//      table byte.
 //   5. with --scaling, a concurrency sweep (16/64/256/1024 sessions,
-//      one request each) against BOTH server cores — the event-core
-//      headline: sessions/sec and p95 as concurrency grows, with the
-//      serving thread count per point (thread core: one per session;
-//      event core: fixed worker pool).
+//      one request each): sessions/sec and p95 as concurrency grows,
+//      with the serving thread count per point (a fixed worker pool
+//      plus the reactor loop).
 //   6. with --chaos SEED:RATE, a deterministic fault-injection soak:
 //      both endpoints' transports are wrapped in a seeded FaultChannel
 //      (net/fault_channel.h) injecting short I/O, delays, stalls, and
@@ -75,7 +69,6 @@
 #include "fixed/fixed_point.h"
 #include "gc/material.h"
 #include "net/tcp_channel.h"
-#include "net/uring.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/client.h"
@@ -116,10 +109,7 @@ struct Args {
   // Refill server-side stores through the dedicated v4 prefetch lane
   // (a second connection per session) instead of synchronous pushes.
   bool async_prefetch = false;
-  // Which serving core the load runs target (the scaling sweep always
-  // measures both).
-  runtime::ServerCore server_core = runtime::ServerCore::kEventLoop;
-  // Concurrency sweep across both cores (measurement 5 above).
+  // Concurrency sweep (measurement 5 above).
   bool scaling = false;
   // Enable the span tracer for the whole run and write the collected
   // events as chrome://tracing JSON to this file (src/obs/trace.h).
@@ -128,9 +118,6 @@ struct Args {
   // bitsliced8 / scalar). Empty = env + CPUID auto-dispatch. The
   // selected backend is recorded in the JSON either way.
   std::string hash_backend;
-  // Send-submission path on both endpoints; kUring is runtime-probed
-  // and falls back to sendmsg (the JSON records the effective mode).
-  runtime::IoBackend io = runtime::IoBackend::kEpoll;
   // Deterministic chaos soak (measurement 6): fault-plan seed and
   // per-I/O injection probability. rate 0 = off.
   uint64_t chaos_seed = 0;
@@ -161,21 +148,9 @@ Args parse_args(int argc, char** argv) {
     else if (k == "--no-schedule") a.schedule = false;
     else if (k == "--shard-threads") a.shard_threads = std::stoul(next());
     else if (k == "--async-prefetch") a.async_prefetch = true;
-    else if (k == "--server-core") {
-      const std::string v = next();
-      if (v == "thread") a.server_core = runtime::ServerCore::kThreadPerSession;
-      else if (v == "event") a.server_core = runtime::ServerCore::kEventLoop;
-      else throw std::runtime_error("--server-core expects thread|event");
-    }
     else if (k == "--scaling") a.scaling = true;
     else if (k == "--trace") a.trace = next();
     else if (k == "--hash-backend") a.hash_backend = next();
-    else if (k == "--io") {
-      const std::string v = next();
-      if (v == "epoll") a.io = runtime::IoBackend::kEpoll;
-      else if (v == "uring") a.io = runtime::IoBackend::kUring;
-      else throw std::runtime_error("--io expects epoll|uring");
-    }
     else if (k == "--chaos") {
       const std::string v = next();
       const size_t colon = v.find(':');
@@ -234,12 +209,6 @@ OverlapResult measure_overlap(const Args& args) {
   double wall = 0;
   double warm_eval = 0;
 
-  auto sum_ot = [](const SessionTrace& t) {
-    double s = 0;
-    for (const auto& p : t.phases) s += p.ot_s;
-    return s;
-  };
-
   // Two inferences on one session: the first pays base-OT setup and
   // warms caches, the second is the steady-state streaming measurement
   // (the paper's many-samples-per-session premise). Exceptions on either
@@ -264,7 +233,7 @@ OverlapResult measure_overlap(const Args& args) {
     runtime::StreamingGarbler garbler(ch, Block{2026, 727}, cfg);
     garbler.run_chain(chain, data);  // warmup (includes OT setup)
     warm_garble = garbler.trace().sum_garble();
-    warm_ot = sum_ot(garbler.trace());
+    warm_ot = garbler.trace().sum_ot();
     Stopwatch sw;
     got = garbler.run_chain(chain, data);
     wall = sw.seconds();
@@ -287,7 +256,7 @@ OverlapResult measure_overlap(const Args& args) {
   r.garble_s = g_trace.sum_garble() - warm_garble;   // second run only
   r.eval_s = e_trace.sum_eval() - warm_eval;
   r.setup_s = g_trace.setup_s;
-  r.transfer_s = sum_ot(g_trace) - warm_ot;
+  r.transfer_s = g_trace.sum_ot() - warm_ot;
   return r;
 }
 
@@ -405,7 +374,7 @@ struct LoadResult {
   double connect_p50_ms = 0, connect_p95_ms = 0, connect_p99_ms = 0;
   double offline_s = 0;  // pooled mode: prefetch (offline phase) time
   double ttfw_s = 0;     // pooled mode: slowest session's first warm artifact
-  size_t serving_threads = 0;  // thread core: N sessions; event: loop+workers
+  size_t serving_threads = 0;  // reactor loop + workers
   uint64_t served = 0;
   uint64_t pooled = 0;
   std::string server_stats;  // InferenceServer::stats_json() post-run
@@ -453,8 +422,6 @@ LoadResult measure_load(const Args& args, bool pooled,
   }
 
   runtime::ServerConfig scfg;
-  scfg.core = args.server_core;
-  scfg.io = args.io;
   scfg.stream.zero_copy_tables = zero_copy;
   scfg.max_sessions = std::max<size_t>(args.sessions, 1);
   scfg.max_prefetch = std::max<size_t>(args.requests, 1);
@@ -487,7 +454,6 @@ LoadResult measure_load(const Args& args, bool pooled,
       ccfg.seed = Block{1000 + s, 2000 + s};  // per-session PRG seed
       ccfg.stream.schedule = args.schedule;
       ccfg.stream.zero_copy_tables = zero_copy;
-      ccfg.io = args.io;
       if (pooled) {
         ccfg.pool_target = args.requests;
         ccfg.pool_producers = 2;
@@ -574,14 +540,10 @@ LoadResult measure_load(const Args& args, bool pooled,
     per_infer += 2 * sizeof(Block) + c.stats().table_bytes();
   r.table_bytes = per_infer * server.inferences_served();
 
-  if (args.server_core == runtime::ServerCore::kEventLoop) {
-    const size_t hc = std::thread::hardware_concurrency();
-    const size_t workers =
-        scfg.workers > 0 ? scfg.workers : std::max<size_t>(2, 2 * hc);
-    r.serving_threads = workers + 1;  // + the reactor loop
-  } else {
-    r.serving_threads = args.sessions;  // one handler thread per session
-  }
+  const size_t hc = std::thread::hardware_concurrency();
+  const size_t workers =
+      scfg.workers > 0 ? scfg.workers : std::max<size_t>(2, 2 * hc);
+  r.serving_threads = workers + 1;  // + the reactor loop
 
   std::vector<double> all;
   for (const auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
@@ -610,34 +572,18 @@ LoadResult measure_load(const Args& args, bool pooled,
   return r;
 }
 
-struct ScalingRow {
-  const char* core = "";
-  LoadResult load;
-};
-
-// Concurrency sweep: both cores, one request per session (session churn
-// — handshake + a single on-demand inference — is what stresses the
+// Concurrency sweep, one request per session (session churn —
+// handshake + a single on-demand inference — is what stresses the
 // serving core, not per-request crypto volume). The sweep reuses
 // measure_load, so every row is also correctness-checked end to end.
-std::vector<ScalingRow> measure_scaling(const Args& base) {
-  std::vector<ScalingRow> rows;
-  const std::pair<runtime::ServerCore, const char*> cores[] = {
-      {runtime::ServerCore::kThreadPerSession, "thread"},
-      {runtime::ServerCore::kEventLoop, "event"},
-  };
-  for (const auto& [core, name] : cores) {
-    for (size_t n : {size_t{16}, size_t{64}, size_t{256}, size_t{1024}}) {
-      Args a = base;
-      a.sessions = n;
-      a.requests = 1;
-      a.server_core = core;
-      std::fprintf(stderr, "loadgen: scaling %s core, %zu sessions...\n",
-                   name, n);
-      ScalingRow row;
-      row.core = name;
-      row.load = measure_load(a, /*pooled=*/false);
-      rows.push_back(row);
-    }
+std::vector<LoadResult> measure_scaling(const Args& base) {
+  std::vector<LoadResult> rows;
+  for (size_t n : {size_t{16}, size_t{64}, size_t{256}, size_t{1024}}) {
+    Args a = base;
+    a.sessions = n;
+    a.requests = 1;
+    std::fprintf(stderr, "loadgen: scaling, %zu sessions...\n", n);
+    rows.push_back(measure_load(a, /*pooled=*/false));
   }
   return rows;
 }
@@ -689,8 +635,6 @@ ChaosResult measure_chaos(const Args& args) {
   };
 
   runtime::ServerConfig scfg;
-  scfg.core = args.server_core;
-  scfg.io = args.io;
   scfg.max_sessions = std::max<size_t>(args.sessions, 1);
   scfg.max_prefetch = std::max<size_t>(args.requests, 1);
   scfg.stream.eval_threads = args.eval_threads;
@@ -711,7 +655,6 @@ ChaosResult measure_chaos(const Args& args) {
         runtime::ClientConfig ccfg;
         ccfg.seed = Block{7000 + s, 9000 + s};
         ccfg.stream.schedule = args.schedule;
-        ccfg.io = args.io;
         ccfg.pool_target = 2;  // exercise the poisoning path on recovery
         ccfg.async_prefetch = args.async_prefetch;
         // Distinct plan seeds per endpoint: the server's and client's
@@ -765,22 +708,13 @@ ChaosResult measure_chaos(const Args& args) {
   return r;
 }
 
-// The effective send path: --io uring only takes hold where the kernel
-// probe passes (net/uring.h); everywhere else sends fall back to
-// sendmsg, and the JSON must say which one actually ran.
-const char* effective_io(const Args& args) {
-  return args.io == runtime::IoBackend::kUring && net::uring_supported()
-             ? "uring"
-             : "epoll";
-}
-
-// Data-plane counter fragment shared by every load row: which send
+// Data-plane counter fragment shared by every load row: which table
 // path ran, what it copied, and how the pool slabs circulated.
-std::string net_json(const Args& args, const LoadResult& l) {
+std::string net_json(const LoadResult& l) {
   char buf[768];
   std::snprintf(
       buf, sizeof(buf),
-      "\"io\": \"%s\", \"zero_copy\": %s, \"bytes_copied\": %llu, "
+      "\"zero_copy\": %s, \"bytes_copied\": %llu, "
       "\"table_bytes\": %llu, \"bytes_copied_per_table_byte\": %.6f, "
       "\"sends_vectored\": %llu, \"syscalls_send\": %llu, "
       "\"slab_acquire\": %llu, \"slab_recycle\": %llu, "
@@ -788,7 +722,7 @@ std::string net_json(const Args& args, const LoadResult& l) {
       "\"fault_injected\": %llu, \"fault_reset\": %llu, "
       "\"client_retries\": %llu, \"sessions_recovered\": %llu, "
       "\"material_poisoned\": %llu",
-      effective_io(args), l.zero_copy ? "true" : "false",
+      l.zero_copy ? "true" : "false",
       static_cast<unsigned long long>(l.net.bytes_copied),
       static_cast<unsigned long long>(l.table_bytes),
       l.bytes_copied_per_table_byte(),
@@ -808,7 +742,7 @@ std::string net_json(const Args& args, const LoadResult& l) {
 void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                const OfflineResult& off, const LoadResult& l,
                const LoadResult& lcopy, const LoadResult* pre,
-               const std::vector<ScalingRow>* scaling,
+               const std::vector<LoadResult>* scaling,
                const ChaosResult* chaos) {
   std::fprintf(f, "{\n  \"bench\": \"loadgen_inference\",\n");
   std::fprintf(f, "  \"scheduled\": %s,\n", args.schedule ? "true" : "false");
@@ -843,15 +777,11 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
   // must memcpy at least 2x less per shipped table byte.
   std::fprintf(
       f,
-      "  \"data_plane\": {\"io_requested\": \"%s\", \"io\": \"%s\", "
-      "\"uring_supported\": %s, "
+      "  \"data_plane\": {"
       "\"zero_copy\": {%s, \"p50_ms\": %.3f}, "
       "\"copy_fallback\": {%s, \"p50_ms\": %.3f}, "
       "\"copy_reduction\": %.2f},\n",
-      args.io == runtime::IoBackend::kUring ? "uring" : "epoll",
-      effective_io(args), net::uring_supported() ? "true" : "false",
-      net_json(args, l).c_str(), l.p50_ms,
-      net_json(args, lcopy).c_str(), lcopy.p50_ms,
+      net_json(l).c_str(), l.p50_ms, net_json(lcopy).c_str(), lcopy.p50_ms,
       // 1-byte floor: the zero-copy path routinely copies NOTHING, and
       // a 0-denominator ratio would report the win as 0.
       double(lcopy.net.bytes_copied) /
@@ -883,20 +813,17 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
   const bool more_after_load = pre != nullptr || scaling != nullptr;
   std::fprintf(f,
                "  \"load\": {\"sessions\": %zu, \"requests_per_session\": %zu, "
-               "\"server_core\": \"%s\", \"serving_threads\": %zu, "
+               "\"serving_threads\": %zu, "
                "\"inferences\": %llu, \"wall_s\": %.6f, \"sessions_per_s\": "
                "%.3f, \"requests_per_s\": %.3f, \"p50_ms\": %.3f, \"p95_ms\": "
                "%.3f, \"p99_ms\": %.3f, \"connect_p50_ms\": %.3f, "
                "\"connect_p95_ms\": %.3f, \"connect_p99_ms\": %.3f, "
                "%s, \"server_stats\": %s}%s\n",
-               l.sessions, l.requests,
-               args.server_core == runtime::ServerCore::kEventLoop ? "event"
-                                                                   : "thread",
-               l.serving_threads,
+               l.sessions, l.requests, l.serving_threads,
                static_cast<unsigned long long>(l.served), l.wall_s,
                l.sessions_per_s(), l.requests_per_s(), l.p50_ms, l.p95_ms,
                l.p99_ms, l.connect_p50_ms, l.connect_p95_ms, l.connect_p99_ms,
-               net_json(args, l).c_str(),
+               net_json(l).c_str(),
                l.server_stats.empty() ? "{}" : l.server_stats.c_str(),
                more_after_load ? "," : "");
   if (pre != nullptr) {
@@ -922,29 +849,26 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
         pre->p50_ms, pre->p95_ms, pre->p99_ms, pre->connect_p50_ms,
         pre->connect_p95_ms, pre->connect_p99_ms,
         pre->p50_ms > 0 ? l.p50_ms / pre->p50_ms : 0.0,
-        net_json(args, *pre).c_str(),
+        net_json(*pre).c_str(),
         pre->server_stats.empty() ? "{}" : pre->server_stats.c_str());
     if (scaling != nullptr) std::fprintf(f, ",");
   }
   if (scaling != nullptr) {
     std::fprintf(f, "  \"load_scaling\": [\n");
     for (size_t i = 0; i < scaling->size(); ++i) {
-      const ScalingRow& row = (*scaling)[i];
+      const LoadResult& row = (*scaling)[i];
       std::fprintf(f,
-                   "    {\"server_core\": \"%s\", \"sessions\": %zu, "
+                   "    {\"sessions\": %zu, "
                    "\"serving_threads\": %zu, \"wall_s\": %.6f, "
                    "\"sessions_per_s\": %.3f, \"p50_ms\": %.3f, "
                    "\"p95_ms\": %.3f, \"p99_ms\": %.3f, "
                    "\"connect_p50_ms\": %.3f, \"connect_p95_ms\": %.3f, "
                    "\"connect_p99_ms\": %.3f, %s, \"server_stats\": %s}%s\n",
-                   row.core, row.load.sessions, row.load.serving_threads,
-                   row.load.wall_s, row.load.sessions_per_s(),
-                   row.load.p50_ms, row.load.p95_ms, row.load.p99_ms,
-                   row.load.connect_p50_ms, row.load.connect_p95_ms,
-                   row.load.connect_p99_ms, net_json(args, row.load).c_str(),
-                   row.load.server_stats.empty()
-                       ? "{}"
-                       : row.load.server_stats.c_str(),
+                   row.sessions, row.serving_threads, row.wall_s,
+                   row.sessions_per_s(), row.p50_ms, row.p95_ms, row.p99_ms,
+                   row.connect_p50_ms, row.connect_p95_ms, row.connect_p99_ms,
+                   net_json(row).c_str(),
+                   row.server_stats.empty() ? "{}" : row.server_stats.c_str(),
                    i + 1 < scaling->size() ? "," : "");
     }
     std::fprintf(f, "  ]\n");
@@ -979,9 +903,9 @@ int main(int argc, char** argv) {
     LoadResult pre;
     if (args.precomputed) pre = measure_load(args, /*pooled=*/true);
     const LoadResult* pre_p = args.precomputed ? &pre : nullptr;
-    std::vector<ScalingRow> scaling;
+    std::vector<LoadResult> scaling;
     if (args.scaling) scaling = measure_scaling(args);
-    const std::vector<ScalingRow>* scl_p = args.scaling ? &scaling : nullptr;
+    const std::vector<LoadResult>* scl_p = args.scaling ? &scaling : nullptr;
     ChaosResult chaos;
     if (args.chaos_rate > 0) chaos = measure_chaos(args);
     const ChaosResult* chaos_p = args.chaos_rate > 0 ? &chaos : nullptr;

@@ -81,12 +81,7 @@ int main(int argc, char** argv) {
   const SessionTrace& t = client.trace();
   std::printf("secure_client: done. setup %.1f ms, garble %.1f ms, "
               "transfer %.1f ms over %zu layer runs\n",
-              t.setup_s * 1e3, t.sum_garble() * 1e3,
-              [&] {
-                double ot = 0;
-                for (const auto& p : t.phases) ot += p.ot_s;
-                return ot * 1e3;
-              }(),
+              t.setup_s * 1e3, t.sum_garble() * 1e3, t.sum_ot() * 1e3,
               t.phases.size());
   if (want_stats)
     std::printf("secure_client: server stats\n%s\n",

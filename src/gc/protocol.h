@@ -60,6 +60,11 @@ struct SessionTrace {
     for (const auto& p : phases) t += p.eval_s;
     return t;
   }
+  double sum_ot() const {
+    double t = 0;
+    for (const auto& p : phases) t += p.ot_s;
+    return t;
+  }
 };
 
 /// Client-side session (garbler).

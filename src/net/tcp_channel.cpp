@@ -200,8 +200,7 @@ TcpChannel::TcpChannel(TcpChannel&& o) noexcept
       nonblocking_(o.nonblocking_),
       timeout_ms_(o.timeout_ms_),
       sent_(o.sent_),
-      received_(o.received_),
-      uring_(std::move(o.uring_)) {
+      received_(o.received_) {
   o.fd_ = -1;
 }
 
@@ -255,13 +254,6 @@ void TcpChannel::wait_ready(short events) {
 }
 
 void TcpChannel::send_bytes(const void* data, size_t n) {
-  if (uring_ != nullptr && n > 0) {
-    iovec iov{const_cast<void*>(data), n};
-    netstat::syscalls_send().add(uring_->send_batch(fd_, &iov, 1));
-    sent_ += n;
-    tcp_bytes_out().add(n);
-    return;
-  }
   const auto* p = static_cast<const uint8_t*>(data);
   size_t done = 0;
   while (done < n) {
@@ -318,40 +310,35 @@ void TcpChannel::send_iov(IoSlice* slices, size_t n) {
   }
   if (!iov.empty()) {
     netstat::sends_vectored().add();
-    if (uring_ != nullptr) {
-      netstat::syscalls_send().add(
-          uring_->send_batch(fd_, iov.data(), iov.size()));
-    } else {
-      // sendmsg per <= IOV_MAX slices, resuming short writes mid-iovec
-      // (same EINTR/EAGAIN/peer-gone handling as send_bytes).
-      size_t at = 0;
-      while (at < iov.size()) {
-        msghdr m{};
-        m.msg_iov = iov.data() + at;
-        m.msg_iovlen = std::min(iov.size() - at, size_t{IOV_MAX});
-        const ssize_t w = ::sendmsg(fd_, &m, MSG_NOSIGNAL);
-        netstat::syscalls_send().add();
-        if (w < 0) {
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            if (!nonblocking_)
-              throw std::runtime_error("tcp: send timed out");
-            wait_ready(POLLOUT);
-            continue;
-          }
-          if (peer_gone(errno)) throw_peer_closed();
-          die("sendmsg");
+    // sendmsg per <= IOV_MAX slices, resuming short writes mid-iovec
+    // (same EINTR/EAGAIN/peer-gone handling as send_bytes).
+    size_t at = 0;
+    while (at < iov.size()) {
+      msghdr m{};
+      m.msg_iov = iov.data() + at;
+      m.msg_iovlen = std::min(iov.size() - at, size_t{IOV_MAX});
+      const ssize_t w = ::sendmsg(fd_, &m, MSG_NOSIGNAL);
+      netstat::syscalls_send().add();
+      if (w < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+          if (!nonblocking_)
+            throw std::runtime_error("tcp: send timed out");
+          wait_ready(POLLOUT);
+          continue;
         }
-        size_t adv = static_cast<size_t>(w);
-        while (adv > 0) {
-          if (adv >= iov[at].iov_len) {
-            adv -= iov[at].iov_len;
-            ++at;
-          } else {
-            iov[at].iov_base = static_cast<uint8_t*>(iov[at].iov_base) + adv;
-            iov[at].iov_len -= adv;
-            adv = 0;
-          }
+        if (peer_gone(errno)) throw_peer_closed();
+        die("sendmsg");
+      }
+      size_t adv = static_cast<size_t>(w);
+      while (adv > 0) {
+        if (adv >= iov[at].iov_len) {
+          adv -= iov[at].iov_len;
+          ++at;
+        } else {
+          iov[at].iov_base = static_cast<uint8_t*>(iov[at].iov_base) + adv;
+          iov[at].iov_len -= adv;
+          adv = 0;
         }
       }
     }
@@ -361,12 +348,6 @@ void TcpChannel::send_iov(IoSlice* slices, size_t n) {
   // Slices fully on the wire (kernel-buffered) — borrowed slabs can
   // recycle now.
   for (size_t i = 0; i < n; ++i) slices[i].ref.reset();
-}
-
-bool TcpChannel::enable_io_uring() {
-  if (uring_ != nullptr) return true;
-  uring_ = net::UringQueue::create();  // nullptr = probe refused
-  return uring_ != nullptr;
 }
 
 size_t TcpChannel::recv_some(void* data, size_t min_n, size_t max_n) {

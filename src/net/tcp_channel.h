@@ -27,12 +27,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "net/channel.h"
-#include "net/uring.h"
 
 namespace deepsecure {
 
@@ -55,19 +53,11 @@ class TcpChannel final : public Channel {
   void recv_bytes(void* data, size_t n) override;
   size_t recv_some(void* data, size_t min_n, size_t max_n) override;
 
-  /// True scatter-gather send: one sendmsg (or one linked-SQE io_uring
-  /// submission — see enable_io_uring) per <= IOV_MAX slices instead of
-  /// one syscall per slice, resuming short writes mid-iovec. Slices are
-  /// fully shipped before return, so borrowed refs release here.
+  /// True scatter-gather send: one sendmsg per <= IOV_MAX slices
+  /// instead of one syscall per slice, resuming short writes mid-iovec.
+  /// Slices are fully shipped before return, so borrowed refs release
+  /// here.
   void send_iov(IoSlice* slices, size_t n) override;
-
-  /// Route sends through a per-channel io_uring submission queue
-  /// (net/uring.h): a vectored send becomes a chain of linked SQEs and
-  /// ONE io_uring_enter. Runtime-probed — returns the effective state
-  /// (false = kernel refused io_uring; sends stay on the sendmsg path,
-  /// which is the documented clean fallback).
-  bool enable_io_uring();
-  bool io_uring_enabled() const { return uring_ != nullptr; }
 
   /// Shut both directions down without closing the fd. A thread blocked
   /// in recv on this channel wakes with a "peer closed" error — the
@@ -77,8 +67,8 @@ class TcpChannel final : public Channel {
   /// Bound every receive: a recv that sees no bytes for `ms`
   /// milliseconds throws instead of blocking forever (SO_RCVTIMEO in
   /// blocking mode, the poll deadline in nonblocking mode). 0 restores
-  /// the unbounded default. Backs the thread-per-session server's idle
-  /// timeout and the reactor's mid-exchange stall bound.
+  /// the unbounded default. Backs the reactor's mid-exchange stall
+  /// bound.
   void set_recv_timeout_ms(uint64_t ms);
 
   /// Switch the fd between blocking and O_NONBLOCK. In nonblocking
@@ -110,12 +100,11 @@ class TcpChannel final : public Channel {
   uint64_t timeout_ms_ = 0;  // 0 = unbounded
   uint64_t sent_ = 0;
   uint64_t received_ = 0;
-  std::unique_ptr<net::UringQueue> uring_;  // non-null = uring send path
 };
 
 /// Reusable listening socket bound to loopback. accept() yields one
 /// connected TcpChannel per client; close() (from any thread) unblocks a
-/// pending accept, which then throws — the server shutdown path.
+/// pending accept, which then throws.
 class TcpListener {
  public:
   /// Bind + listen on `port` (0 = ephemeral) with the given backlog.
@@ -148,8 +137,8 @@ class TcpListener {
   void close();
 
  private:
-  // Atomic: close() runs from the server's stop path while the accept
-  // thread is reading the fd.
+  // Atomic: close() runs from the server's stop path while the reactor
+  // loop may be reading the fd.
   std::atomic<int> fd_{-1};
   uint16_t port_ = 0;
 };

@@ -92,10 +92,6 @@ struct ClientConfig {
   /// own boundaries. Also disable for deterministic drain behavior
   /// (tests, bounded-memory clients).
   bool auto_top_up = true;
-  /// Send-submission path for the primary and lane connections. kUring
-  /// is runtime-probed per connection and silently falls back to the
-  /// sendmsg path when unavailable (see ServerConfig::io).
-  IoBackend io = IoBackend::kEpoll;
   /// Deterministic fault injection on the client side of the wire
   /// (net/fault_channel.h): wraps the primary and lane transports.
   /// Tests and loadgen --chaos; off (rate 0) in production.

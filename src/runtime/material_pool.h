@@ -36,7 +36,6 @@
 #include "crypto/prg.h"
 #include "gc/material.h"
 #include "obs/metrics.h"
-#include "support/spsc_ring.h"
 #include "support/thread_pool.h"
 
 namespace deepsecure::runtime {
@@ -63,15 +62,6 @@ struct MaterialPoolConfig {
   /// Drives the per-artifact label seeds (zero = OS entropy); pass a
   /// constant only in tests.
   Block seed{};
-  /// Publish finished artifacts through a lock-free SPSC ring
-  /// (support/spsc_ring.h) instead of the mutex-guarded deque: the
-  /// producer hands a ~MB artifact to the consumer without holding the
-  /// pool mutex during delivery, so a consumer draining the pool (the
-  /// async prefetch lane) never contends the garbling bookkeeping.
-  /// Requires a single producer thread — auto-disabled when
-  /// producer_threads > 1 (consumer pops stay serialized under the pool
-  /// mutex either way, so any number of acquirers is fine).
-  bool ring_handoff = true;
 };
 
 class MaterialPool {
@@ -128,11 +118,7 @@ class MaterialPool {
 
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;
-  // Ready artifacts: the SPSC ring is the hot handoff (single producer
-  // pushes lock-free; pops serialize under mu_), the deque is the
-  // multi-producer / ring-overflow path. Either may hold artifacts.
-  std::unique_ptr<SpscRing<GarbledMaterial>> ring_;
-  std::deque<GarbledMaterial> ready_;
+  std::deque<GarbledMaterial> ready_;  // finished artifacts, FIFO
   Prg seed_prg_;
   size_t in_flight_ = 0;  // producer tasks scheduled but not yet pushed
   size_t waiting_ = 0;    // acquire() calls blocked on production

@@ -177,9 +177,8 @@ void EventCore::accept_drain(bool lane) {
         continue;
       }
       // Full: gate the listener instead of accepting past the cap.
-      // Excess clients wait in the listen backlog (the thread core's
-      // slot-wait semantics); a session teardown wakes the loop to
-      // re-arm below.
+      // Excess clients wait in the listen backlog; a session teardown
+      // wakes the loop to re-arm below.
       arm_listener(/*lane=*/false, /*on=*/false);
       if (listener_gated_since_ == 0) {
         listener_gated_since_ = obs::now_ns();
@@ -202,7 +201,6 @@ void EventCore::accept_drain(bool lane) {
     c->stage = lane ? Stage::kLaneAttach : Stage::kHandshake;
     c->transport = std::move(transport);
     c->transport->set_nonblocking(true);
-    if (srv_.cfg_.io == IoBackend::kUring) c->transport->enable_io_uring();
     // Bound mid-exchange stalls with the same deadline the timer wheel
     // applies to parked conns (poll deadline in nonblocking mode).
     if (srv_.cfg_.idle_timeout_ms > 0)
@@ -359,6 +357,12 @@ void EventCore::worker_loop() {
 bool EventCore::park(Conn* c) {
   bool first_timer = false;
   {
+    // The re-arm hands the conn to its next owner, which gets it from
+    // the loop thread's push to ready_ under mu_. Doing every access to
+    // the conn here, epoll_ctl included, under mu_ means the loop
+    // cannot push it before this unlock, so these accesses are ordered
+    // before the next owner's. An access after the unlock would be
+    // ordered only through the kernel's epoll handoff.
     std::lock_guard<std::mutex> lk(mu_);
     c->parked = true;
     const uint64_t gen = ++c->park_gen;  // also cancels the phase timer
@@ -367,15 +371,15 @@ bool EventCore::park(Conn* c) {
           WheelEntry{c->id, gen});
       first_timer = (timers_live_++ == 0);
     }
+    c->parked_at_ns = obs::now_ns();
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+    ev.data.u64 = reinterpret_cast<uint64_t>(c);
+    const int op = c->registered ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
+    if (c->registered) c_rearms_.add();
+    c->registered = true;
+    if (::epoll_ctl(ep_, op, c->transport->fd(), &ev) != 0) return false;
   }
-  c->parked_at_ns = obs::now_ns();
-  epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-  ev.data.u64 = reinterpret_cast<uint64_t>(c);
-  const int op = c->registered ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
-  if (c->registered) c_rearms_.add();
-  c->registered = true;
-  if (::epoll_ctl(ep_, op, c->transport->fd(), &ev) != 0) return false;
   // The loop may be sleeping with an infinite epoll timeout; the first
   // live timer needs it to start ticking.
   if (first_timer) wake();
@@ -383,14 +387,17 @@ bool EventCore::park(Conn* c) {
 }
 
 void EventCore::teardown(Conn* c) {
-  // Protocol settlement first (identical to the thread core's): token
-  // out of the map so no new lane resolves this session, then the whole
-  // remaining budget reservation returned in one settlement.
+  // Protocol settlement first: token out of the map so no new lane
+  // resolves this session, then the whole remaining budget reservation
+  // returned in one settlement. A lane mid-push observes `closed`
+  // afterwards and knows not to settle again.
   if (!c->is_lane) {
     if (c->token_registered) srv_.unregister_lane_token(c->lane_token);
     if (c->state != nullptr) srv_.settle_session_state(*c->state);
   } else if (c->state != nullptr) {
-    // Lane teardown: allow a reconnect (see thread core).
+    // Lane teardown: allow a reconnect. A dropped lane (idle timeout,
+    // transient network failure) must not permanently demote the
+    // session to synchronous prefetching.
     std::lock_guard<std::mutex> lk(c->state->mu);
     c->state->lane_attached = false;
   }
@@ -476,9 +483,9 @@ void EventCore::process(Conn* c) {
 }
 
 bool EventCore::do_handshake(Conn& c) {
-  // Unlike the thread core, the wait for the hello is NOT in here — the
-  // conn was parked until the hello's bytes arrived (phase.parked), so
-  // this phase is pure handshake work.
+  // The wait for the hello is not in here: the conn was parked until
+  // the hello's bytes arrived (phase.parked), so this phase is pure
+  // handshake work.
   const uint64_t t0 = obs::now_ns();
   obs::Span span("server.handshake");
   const Hello hello = parse_hello(recv_frame(*c.ch));
@@ -541,8 +548,8 @@ bool EventCore::do_lane_attach(Conn& c) {
 }
 
 bool EventCore::serve_session_frame(Conn& c) {
-  // Usually satisfied from read-ahead; a partially-arrived frame waits
-  // here (same phase name as the thread core's idle wait).
+  // Usually satisfied from read-ahead; only a partially arrived frame
+  // waits here.
   const uint64_t t_wait = obs::now_ns();
   obs::Span wait_span("server.recv_wait");
   const Frame f = recv_frame(*c.ch);

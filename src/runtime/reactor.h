@@ -1,7 +1,7 @@
-// Event-driven server core (ServerCore::kEventLoop): an epoll reactor
-// plus a small worker pool, replacing thread-per-session scaling with
-// readiness-driven scheduling. Total thread count is workers + 1 (the
-// loop), independent of how many sessions are connected.
+// Event-driven server core: an epoll reactor plus a small worker pool
+// scheduling connections by readiness. Total thread count is
+// workers + 1 (the loop), independent of how many sessions are
+// connected.
 //
 // Structure:
 //
@@ -35,13 +35,11 @@
 //
 // Session gating: when sessions_active reaches max_sessions, the
 // primary listener is removed from the epoll set — excess clients wait
-// in the listen backlog (same semantics as the thread core's slot
-// wait) — and re-added when a session ends.
+// in the listen backlog, unaccepted — and re-added when a session ends.
 //
-// All protocol logic (handshake validation, infer/prefetch handling,
-// budget settlement, lane tokens) is shared with the thread core via
-// InferenceServer's private helpers: both cores serve byte-identical
-// v4 wire exchanges.
+// The protocol steps themselves (handshake validation, infer/prefetch
+// handling, budget settlement, lane tokens) are InferenceServer's
+// private helpers; this file only decides when each one runs.
 #pragma once
 
 #include <chrono>
@@ -80,7 +78,9 @@ class EventCore {
   // One connection's state machine. Ownership alternates between the
   // epoll set (parked) and exactly one worker (resumed) — never both,
   // enforced by EPOLLONESHOT. `parked`/`park_gen` are guarded by mu_;
-  // everything else is touched only by the current owner.
+  // everything else is touched only by the current owner, whose last
+  // accesses (the epoll re-arm included) sit inside park()'s critical
+  // section, so they are ordered before the next owner's.
   struct Conn {
     uint64_t id = 0;
     bool is_lane = false;

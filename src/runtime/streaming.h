@@ -30,17 +30,6 @@
 
 namespace deepsecure::runtime {
 
-/// TCP submission path for a runtime endpoint's sends. kUring routes
-/// vectored sends through a per-connection io_uring queue (net/uring.h:
-/// linked SQEs, one io_uring_enter per batch); it is runtime-probed and
-/// falls back to the plain sendmsg/epoll path cleanly when the kernel
-/// refuses io_uring — effective mode is reported in stats_json().
-enum class IoBackend : uint8_t { kEpoll, kUring };
-
-inline const char* io_backend_name(IoBackend io) {
-  return io == IoBackend::kUring ? "uring" : "epoll";
-}
-
 /// Default for StreamConfig::zero_copy_tables: on unless the
 /// DEEPSECURE_NO_ZERO_COPY environment variable is set to a non-empty
 /// value other than "0" — CI's escape hatch to exercise the copy
