@@ -34,11 +34,6 @@
 //      the run when warm-pool p50 is not below the on-demand p50
 //      (local acceptance gate — CI runs non-strict because shared
 //      runners make timing flaky).
-//   4b. data_plane: the on-demand load again with the zero-copy table
-//      path disabled (copy fallback), so every BENCH file records
-//      bytes_copied_per_table_byte for both data planes side by side —
-//      the pooled-slab path must copy at least 2x less per shipped
-//      table byte.
 //   5. with --scaling, a concurrency sweep (16/64/256/1024 sessions,
 //      one request each): sessions/sec and p95 as concurrency grows,
 //      with the serving thread count per point (a fixed worker pool
@@ -207,7 +202,6 @@ OverlapResult measure_overlap(const Args& args) {
   SessionTrace g_trace, e_trace;
   BitVec got;
   double wall = 0;
-  double warm_eval = 0;
 
   // Two inferences on one session: the first pays base-OT setup and
   // warms caches, the second is the steady-state streaming measurement
@@ -220,20 +214,16 @@ OverlapResult measure_overlap(const Args& args) {
       TcpChannel ch = listener.accept();
       runtime::StreamingEvaluator eval(ch, cfg);
       eval.run_chain(chain, weights);
-      warm_eval = eval.trace().sum_eval();
       eval.run_chain(chain, weights);
       e_trace = eval.trace();
     } catch (...) {
       server_err = std::current_exception();
     }
   });
-  double warm_garble = 0, warm_ot = 0;
   try {
     TcpChannel ch = TcpChannel::connect("127.0.0.1", listener.port());
     runtime::StreamingGarbler garbler(ch, Block{2026, 727}, cfg);
     garbler.run_chain(chain, data);  // warmup (includes OT setup)
-    warm_garble = garbler.trace().sum_garble();
-    warm_ot = garbler.trace().sum_ot();
     Stopwatch sw;
     got = garbler.run_chain(chain, data);
     wall = sw.seconds();
@@ -253,10 +243,11 @@ OverlapResult measure_overlap(const Args& args) {
   r.gates = args.gates;
   r.threads = args.threads;
   r.wall_s = wall;
-  r.garble_s = g_trace.sum_garble() - warm_garble;   // second run only
-  r.eval_s = e_trace.sum_eval() - warm_eval;
+  // Traces hold the latest run only: the steady-state second inference.
+  r.garble_s = g_trace.sum_garble();
+  r.eval_s = e_trace.sum_eval();
   r.setup_s = g_trace.setup_s;
-  r.transfer_s = g_trace.sum_ot() - warm_ot;
+  r.transfer_s = g_trace.sum_ot();
   return r;
 }
 
@@ -321,12 +312,11 @@ double pct(const std::vector<double>& sorted, size_t p) {
   return sorted[std::min(sorted.size() - 1, (sorted.size() * p) / 100)];
 }
 
-// Snapshot of the process-wide data-plane counters (net/channel.h,
-// support/buffer_pool.h, net/ring_channel.h). Deltas bracket each load
-// run — the runs are sequential, so a delta is that run's traffic.
+// Snapshot of the process-wide data-plane counters (net/channel.h).
+// Deltas bracket each load run — the runs are sequential, so a delta is
+// that run's traffic.
 struct NetCounters {
-  uint64_t bytes_copied = 0, sends_vectored = 0, syscalls_send = 0;
-  uint64_t slab_acquire = 0, slab_recycle = 0, chunk_reuse = 0;
+  uint64_t bytes_copied = 0, syscalls_send = 0;
   // Resilience counters (fault injection + self-healing), so every
   // BENCH row records whether its numbers were taken under chaos and
   // how much recovery happened inside the run.
@@ -336,11 +326,7 @@ struct NetCounters {
     auto& r = obs::Registry::global();
     NetCounters c;
     c.bytes_copied = r.counter("net.bytes_copied").value();
-    c.sends_vectored = r.counter("net.sends_vectored").value();
     c.syscalls_send = r.counter("net.syscalls_send").value();
-    c.slab_acquire = r.counter("pool.slab_acquire").value();
-    c.slab_recycle = r.counter("pool.slab_recycle").value();
-    c.chunk_reuse = r.counter("net.ring.chunk_reuse").value();
     c.fault_injected = r.counter("fault.injected").value();
     c.fault_reset = r.counter("fault.reset").value();
     c.retries = r.counter("client.retries").value();
@@ -350,11 +336,7 @@ struct NetCounters {
   }
   NetCounters operator-(const NetCounters& b) const {
     return NetCounters{bytes_copied - b.bytes_copied,
-                       sends_vectored - b.sends_vectored,
                        syscalls_send - b.syscalls_send,
-                       slab_acquire - b.slab_acquire,
-                       slab_recycle - b.slab_recycle,
-                       chunk_reuse - b.chunk_reuse,
                        fault_injected - b.fault_injected,
                        fault_reset - b.fault_reset,
                        retries - b.retries,
@@ -380,7 +362,6 @@ struct LoadResult {
   std::string server_stats;  // InferenceServer::stats_json() post-run
   // Data-plane accounting for this run (process-wide counter deltas).
   NetCounters net;
-  bool zero_copy = true;      // pooled-slab table path vs copy fallback
   uint64_t table_bytes = 0;   // garbled-table payload shipped (expected)
   double bytes_copied_per_table_byte() const {
     return table_bytes > 0 ? double(net.bytes_copied) / double(table_bytes)
@@ -410,8 +391,7 @@ synth::ModelSpec load_spec() {
 // split: each session garbles its artifacts in the background, pushes
 // them to the server *before* the timed window (offline phase, recorded
 // separately), and the timed requests run the online phase only.
-LoadResult measure_load(const Args& args, bool pooled,
-                        bool zero_copy = true) {
+LoadResult measure_load(const Args& args, bool pooled) {
   const synth::ModelSpec spec = load_spec();
   Rng rng(99);
   BitVec weights;
@@ -422,7 +402,6 @@ LoadResult measure_load(const Args& args, bool pooled,
   }
 
   runtime::ServerConfig scfg;
-  scfg.stream.zero_copy_tables = zero_copy;
   scfg.max_sessions = std::max<size_t>(args.sessions, 1);
   scfg.max_prefetch = std::max<size_t>(args.requests, 1);
   scfg.stream.eval_threads = args.eval_threads;
@@ -453,7 +432,6 @@ LoadResult measure_load(const Args& args, bool pooled,
       runtime::ClientConfig ccfg;
       ccfg.seed = Block{1000 + s, 2000 + s};  // per-session PRG seed
       ccfg.stream.schedule = args.schedule;
-      ccfg.stream.zero_copy_tables = zero_copy;
       if (pooled) {
         ccfg.pool_target = args.requests;
         ccfg.pool_producers = 2;
@@ -532,7 +510,6 @@ LoadResult measure_load(const Args& args, bool pooled,
   server.stop();
   r.server_stats = server.stats_json();
   r.net = NetCounters::snap() - net_before;
-  r.zero_copy = zero_copy;
   // Garbled-table payload per inference, mirroring the server's
   // expected_table_bytes_ accounting (decode-bits frame + tables).
   uint64_t per_infer = 0;
@@ -708,29 +685,22 @@ ChaosResult measure_chaos(const Args& args) {
   return r;
 }
 
-// Data-plane counter fragment shared by every load row: which table
-// path ran, what it copied, and how the pool slabs circulated.
+// Data-plane counter fragment shared by every load row: what the table
+// path copied and how many send syscalls it took.
 std::string net_json(const LoadResult& l) {
-  char buf[768];
+  char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "\"zero_copy\": %s, \"bytes_copied\": %llu, "
+      "\"bytes_copied\": %llu, "
       "\"table_bytes\": %llu, \"bytes_copied_per_table_byte\": %.6f, "
-      "\"sends_vectored\": %llu, \"syscalls_send\": %llu, "
-      "\"slab_acquire\": %llu, \"slab_recycle\": %llu, "
-      "\"ring_chunk_reuse\": %llu, "
+      "\"syscalls_send\": %llu, "
       "\"fault_injected\": %llu, \"fault_reset\": %llu, "
       "\"client_retries\": %llu, \"sessions_recovered\": %llu, "
       "\"material_poisoned\": %llu",
-      l.zero_copy ? "true" : "false",
       static_cast<unsigned long long>(l.net.bytes_copied),
       static_cast<unsigned long long>(l.table_bytes),
       l.bytes_copied_per_table_byte(),
-      static_cast<unsigned long long>(l.net.sends_vectored),
       static_cast<unsigned long long>(l.net.syscalls_send),
-      static_cast<unsigned long long>(l.net.slab_acquire),
-      static_cast<unsigned long long>(l.net.slab_recycle),
-      static_cast<unsigned long long>(l.net.chunk_reuse),
       static_cast<unsigned long long>(l.net.fault_injected),
       static_cast<unsigned long long>(l.net.fault_reset),
       static_cast<unsigned long long>(l.net.retries),
@@ -741,7 +711,7 @@ std::string net_json(const LoadResult& l) {
 
 void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                const OfflineResult& off, const LoadResult& l,
-               const LoadResult& lcopy, const LoadResult* pre,
+               const LoadResult* pre,
                const std::vector<LoadResult>* scaling,
                const ChaosResult* chaos) {
   std::fprintf(f, "{\n  \"bench\": \"loadgen_inference\",\n");
@@ -772,20 +742,6 @@ void emit_json(std::FILE* f, const Args& args, const OverlapResult& o,
                o.layers, o.gates, o.threads, o.wall_s, o.garble_s,
                o.transfer_s, o.eval_s, o.phase_sum(), o.setup_s,
                o.phase_sum() > 0 ? o.wall_s / o.phase_sum() : 0.0);
-  // The zero-copy vs copy-fallback headline: same on-demand load twice,
-  // identical wire bytes, different data plane. The pooled-slab path
-  // must memcpy at least 2x less per shipped table byte.
-  std::fprintf(
-      f,
-      "  \"data_plane\": {"
-      "\"zero_copy\": {%s, \"p50_ms\": %.3f}, "
-      "\"copy_fallback\": {%s, \"p50_ms\": %.3f}, "
-      "\"copy_reduction\": %.2f},\n",
-      net_json(l).c_str(), l.p50_ms, net_json(lcopy).c_str(), lcopy.p50_ms,
-      // 1-byte floor: the zero-copy path routinely copies NOTHING, and
-      // a 0-denominator ratio would report the win as 0.
-      double(lcopy.net.bytes_copied) /
-          double(std::max<uint64_t>(l.net.bytes_copied, 1)));
   if (chaos != nullptr) {
     // Self-healing soak: measure_chaos already hard-failed unless every
     // inference completed byte-correct, so this section existing at all
@@ -896,10 +852,6 @@ int main(int argc, char** argv) {
     const OverlapResult overlap = measure_overlap(args);
     const OfflineResult offline = measure_offline(args);
     const LoadResult load = measure_load(args, /*pooled=*/false);
-    // Same load with the zero-copy table path disabled: the copy
-    // fallback reference for the data_plane comparison.
-    const LoadResult load_copy =
-        measure_load(args, /*pooled=*/false, /*zero_copy=*/false);
     LoadResult pre;
     if (args.precomputed) pre = measure_load(args, /*pooled=*/true);
     const LoadResult* pre_p = args.precomputed ? &pre : nullptr;
@@ -916,11 +868,11 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(obs::trace_dropped()),
                    args.trace.c_str());
     }
-    emit_json(stdout, args, overlap, offline, load, load_copy, pre_p, scl_p, chaos_p);
+    emit_json(stdout, args, overlap, offline, load, pre_p, scl_p, chaos_p);
     if (!args.out.empty()) {
       std::FILE* f = std::fopen(args.out.c_str(), "w");
       if (f == nullptr) throw std::runtime_error("cannot open " + args.out);
-      emit_json(f, args, overlap, offline, load, load_copy, pre_p, scl_p, chaos_p);
+      emit_json(f, args, overlap, offline, load, pre_p, scl_p, chaos_p);
       std::fclose(f);
     }
     if (overlap.wall_s >= overlap.phase_sum()) {

@@ -7,7 +7,7 @@
 //
 // --stats asks the server for its runtime counters (protocol v5 kStats
 // round trip) after the requests finish and prints the JSON document —
-// pool slab traffic, vectored sends, copied bytes, io backend.
+// phase histograms, prefetch budget, copied bytes, send syscalls.
 //
 // With prefetch > 0 the client garbles instances in the background and
 // pushes them to the server ahead of requests (the offline/online
@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
     if (prefetch > 0) client.top_up();  // refill outside the timed window
   }
   const SessionTrace& t = client.trace();
-  std::printf("secure_client: done. setup %.1f ms, garble %.1f ms, "
-              "transfer %.1f ms over %zu layer runs\n",
+  std::printf("secure_client: done. setup %.1f ms; last inference: garble "
+              "%.1f ms, transfer %.1f ms over %zu layer runs\n",
               t.setup_s * 1e3, t.sum_garble() * 1e3, t.sum_ot() * 1e3,
               t.phases.size());
   if (want_stats)

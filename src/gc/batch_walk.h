@@ -14,11 +14,9 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <stdexcept>
 
 #include "circuit/circuit.h"
 #include "gc/garble.h"
-#include "support/buffer_pool.h"
 
 namespace deepsecure {
 
@@ -53,46 +51,12 @@ inline WindowLineMem window_line_alloc(size_t bytes) {
 /// first, so every segment is cache-line aligned for any power-of-two
 /// capacity >= 4.
 struct GarbleWindowLine {
-  /// Bytes one line of `cap` gates occupies — the slab size a zero-copy
-  /// BufferPool must be built with.
-  static constexpr size_t bytes_for(size_t cap) {
-    return cap * (9 * sizeof(Block) + 2 * sizeof(uint64_t) + sizeof(Wire));
-  }
-
   explicit GarbleWindowLine(size_t cap) : capacity(cap) {
     static_assert(sizeof(Block) == 16);
-    mem_ = detail::window_line_alloc(bytes_for(cap));
-    segment(static_cast<uint8_t*>(mem_.get()), cap);
-  }
-
-  /// Pool-backed line: the staging memory is a refcounted slab
-  /// (support/buffer_pool.h), so the table-row segment can ship as a
-  /// borrowed iovec slice with slab() pinning it — the zero-copy data
-  /// plane. The slab recycles when the transport drops the last ref.
-  GarbleWindowLine(size_t cap, BufferPool& pool) : capacity(cap) {
-    static_assert(sizeof(Block) == 16);
-    slab_ = pool.acquire();
-    if (slab_.size() < bytes_for(cap))
-      throw std::invalid_argument("window line: pool slab too small");
-    segment(slab_.data(), cap);
-  }
-
-  /// Refcounted handle to the backing slab (empty for malloc-backed
-  /// lines). Copy it into an IoSlice to pin the line across an
-  /// asynchronous send.
-  const BufferRef& slab() const { return slab_; }
-
-  Block* a0;
-  Block* b0;
-  Block* hashes;
-  Block* tabs;
-  uint64_t* tweaks;
-  Wire* outs;
-  size_t size = 0;
-  size_t capacity;  // non-const so drained lines can be move-replaced
-
- private:
-  void segment(uint8_t* base, size_t cap) {
+    const size_t bytes = cap * (9 * sizeof(Block) + 2 * sizeof(uint64_t) +
+                                sizeof(Wire));
+    mem_ = detail::window_line_alloc(bytes);
+    auto* base = static_cast<uint8_t*>(mem_.get());
     a0 = reinterpret_cast<Block*>(base);
     b0 = a0 + cap;
     hashes = b0 + cap;        // 4 per gate
@@ -101,8 +65,17 @@ struct GarbleWindowLine {
     outs = reinterpret_cast<Wire*>(tweaks + 2 * cap);
   }
 
+  Block* a0;
+  Block* b0;
+  Block* hashes;
+  Block* tabs;
+  uint64_t* tweaks;
+  Wire* outs;
+  size_t size = 0;
+  const size_t capacity;
+
+ private:
   detail::WindowLineMem mem_;
-  BufferRef slab_;
 };
 
 /// Evaluator-side staging line: two active input labels, two tweaks,

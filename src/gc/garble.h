@@ -17,7 +17,6 @@ namespace deepsecure {
 
 class BlockWriter;
 class BlockReader;
-class BufferPool;
 class ThreadPool;
 struct HashBackend;
 
@@ -68,15 +67,6 @@ struct GcOptions {
   /// Windows smaller than this are not worth sharding (pool dispatch
   /// overhead exceeds the hash work).
   size_t min_shard_gates = 128;
-  /// Zero-copy table plane (garbler + batched pipeline only): stage
-  /// each batch window in a slab from this pool (slab size >=
-  /// GarbleWindowLine::bytes_for(kGcMaxBatchWindow)) and hand the table
-  /// rows to the channel as borrowed refcounted slices instead of
-  /// copying them into the frame buffer. A local throughput knob like
-  /// `pipeline` — the wire stream is byte-identical either way
-  /// (asserted in tests/test_runtime.cpp). Not owned; must outlive the
-  /// last in-flight send. nullptr = copy path.
-  BufferPool* table_pool = nullptr;
   /// Batch AES kernel for this endpoint's window sweeps. nullptr = the
   /// process-wide selection (crypto/hash_backend.h: env override, then
   /// CPUID auto-dispatch). Every backend produces byte-identical

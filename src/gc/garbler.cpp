@@ -140,15 +140,7 @@ void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
                                    BlockWriter& tables) {
   const HashBackend& be =
       opt_.hash_backend != nullptr ? *opt_.hash_backend : hash_backend();
-  // Zero-copy plane: the staging line lives in a refcounted pool slab,
-  // so a drained window's table rows ship as borrowed slices and the
-  // line is replaced by a fresh slab instead of being reused — the old
-  // slab stays pinned by the transport until its bytes are on the wire,
-  // then recycles through the pool.
-  const bool zero_copy = opt_.table_pool != nullptr;
-  GarbleWindowLine line =
-      zero_copy ? GarbleWindowLine(kGcMaxBatchWindow, *opt_.table_pool)
-                : GarbleWindowLine(kGcMaxBatchWindow);
+  GarbleWindowLine line(kGcMaxBatchWindow);
 
   auto flush = [&](bool level_boundary) {
     const size_t n = line.size;
@@ -189,12 +181,7 @@ void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
       opt_.pool->parallel_shards(n, opt_.min_shard_gates, shard);
     else
       shard(0, n);
-    if (zero_copy) {
-      tables.put_borrowed(line.tabs, 2 * n, line.slab());
-      line = GarbleWindowLine(kGcMaxBatchWindow, *opt_.table_pool);
-    } else {
-      for (size_t i = 0; i < 2 * n; ++i) tables.put(line.tabs[i]);
-    }
+    for (size_t i = 0; i < 2 * n; ++i) tables.put(line.tabs[i]);
     // Frames cut only at level boundaries: a capacity drain mid-level
     // keeps buffering so wide scheduled levels ship as one frame.
     tables.mark_window(level_boundary);

@@ -95,9 +95,6 @@ GarbledMaterial garble_offline(const std::vector<Circuit>& chain, Block seed,
     throw std::invalid_argument("garble_offline: empty circuit chain");
   GcOptions local = opt;
   local.framed_tables = false;
-  // The sink records bytes — borrowed slices would be copied right back
-  // into it, so the zero-copy plane buys nothing here.
-  local.table_pool = nullptr;
 
   ByteSink sink;
   Garbler garbler(sink, seed, local);
@@ -178,22 +175,6 @@ void send_material(Channel& ch, const GarbledMaterial& mat) {
   ch.send_u64(mat.tables.size());
   if (!mat.tables.empty())
     ch.send_bytes(mat.tables.data(), mat.tables.size());
-}
-
-void send_material(Channel& ch, GarbledMaterial&& mat) {
-  ch.send_bits(mat.decode_bits);
-  ch.send_u64(mat.tables.size());
-  if (mat.tables.empty()) return;
-  // Donate the table stream: the bytes move into a refcounted holder
-  // and ship as ONE borrowed slice — over an asynchronous channel
-  // (RingChannel) the push returns without copying the multi-MB
-  // payload, and the holder frees when the kernel send completes. Wire
-  // bytes are identical to the copying overload.
-  IoSlice slice;
-  slice.ref = BufferRef::adopt(std::move(mat.tables));
-  slice.data = slice.ref.data();
-  slice.len = slice.ref.size();
-  ch.send_iov(&slice, 1);
 }
 
 EvalMaterial recv_material(Channel& ch, uint64_t max_table_bytes,

@@ -98,13 +98,6 @@ BitVec evaluate_material(const std::vector<Circuit>& chain,
 /// through the precomputed-OT derandomization.
 void send_material(Channel& ch, const GarbledMaterial& mat);
 
-/// Donating overload: consumes `mat.tables` and ships it as one
-/// borrowed refcounted slice (support/buffer_pool.h), so an
-/// asynchronous channel forwards the multi-MB table stream without
-/// copying it — the client prefetch lane's push path. Byte-identical
-/// wire stream to the const overload.
-void send_material(Channel& ch, GarbledMaterial&& mat);
-
 /// Counterpart of send_material: returns an EvalMaterial with
 /// `eval_labels` still empty (the caller fills it after the OT step).
 /// The limits bound the allocations a peer's length headers can demand

@@ -43,6 +43,7 @@ BitVec GarblerSession::run_chain(const std::vector<Circuit>& chain,
                                  const BitVec& data_bits) {
   Stopwatch total;
   ensure_ot();
+  trace_.phases.clear();
 
   Labels carried;  // zero-labels of previous circuit's outputs
   for (size_t k = 0; k < chain.size(); ++k) {
@@ -84,6 +85,7 @@ BitVec EvaluatorSession::run_chain(const std::vector<Circuit>& chain,
                                    const BitVec& weight_bits) {
   Stopwatch total;
   ensure_ot();
+  trace_.phases.clear();
 
   size_t consumed = 0;
   Labels carried;
@@ -123,6 +125,7 @@ BitVec GarblerSession::run_sequential(const Circuit& step, size_t cycles,
                                       const BitVec& data_bits) {
   Stopwatch total;
   ensure_ot();
+  trace_.phases.clear();
   const size_t g_per = step.garbler_inputs.size();
   const size_t e_per = step.evaluator_inputs.size();
   if (data_bits.size() != g_per * cycles)
@@ -161,6 +164,7 @@ BitVec EvaluatorSession::run_sequential(const Circuit& step, size_t cycles,
                                         const BitVec& weight_bits) {
   Stopwatch total;
   ensure_ot();
+  trace_.phases.clear();
   const size_t e_per = step.evaluator_inputs.size();
   if (weight_bits.size() != e_per * cycles)
     throw std::invalid_argument("run_sequential: weight size mismatch");
@@ -209,8 +213,8 @@ void GarblerSession::begin_online(Block delta, const Labels& data_zeros,
                                   const BitVec& data_bits) {
   if (data_bits.size() != data_zeros.size())
     throw std::invalid_argument("begin_online: data bit count mismatch");
+  trace_.phases.clear();
   PhaseSample ph;
-  ph.step = trace_.phases.size();
   Stopwatch sw;
   std::vector<Block> active(data_bits.size());
   for (size_t i = 0; i < data_bits.size(); ++i)
@@ -239,7 +243,7 @@ BitVec GarblerSession::run_online(const GarbledMaterial& mat,
   Stopwatch total;
   begin_online(mat.delta, mat.data_zeros, data_bits);
   const BitVec out = finish_online();
-  trace_.total_s += total.seconds();
+  trace_.total_s = total.seconds();
   return out;
 }
 
@@ -259,8 +263,8 @@ BitVec EvaluatorSession::run_online(const std::vector<Circuit>& chain,
   if (chain.empty())
     throw std::invalid_argument("run_online: empty circuit chain");
   Stopwatch total;
+  trace_.phases.clear();
   PhaseSample ph;
-  ph.step = trace_.phases.size();
 
   Stopwatch sw;
   const Labels g_labels =
@@ -273,7 +277,7 @@ BitVec EvaluatorSession::run_online(const std::vector<Circuit>& chain,
   trace_.phases.push_back(ph);
 
   ch_.send_bits(out);
-  trace_.total_s += total.seconds();
+  trace_.total_s = total.seconds();
   return out;
 }
 

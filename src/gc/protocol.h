@@ -26,7 +26,8 @@
 //     send and receive halves separately so a client can queue several
 //     online inferences back-to-back (cross-request pipelining).
 //
-// Phase timings are recorded per step for the Figure 5 reproduction.
+// Phase timings of the latest run are recorded per step for the Figure 5
+// reproduction.
 #pragma once
 
 #include <vector>
@@ -45,6 +46,9 @@ struct PhaseSample {
   double eval_s = 0.0;    // evaluator-side evaluation time
 };
 
+/// Phase timings of the session's LATEST run (run_chain, run_sequential,
+/// run_online or begin_online): each run clears `phases` on entry and
+/// assigns `total_s`, so a long-lived session's trace stays bounded.
 struct SessionTrace {
   std::vector<PhaseSample> phases;
   double total_s = 0.0;

@@ -46,33 +46,6 @@ class BufferedChannel final : public Channel {
     wbuf_.insert(wbuf_.end(), p, p + n);
   }
 
-  /// Vectored pass-through: the pending small-write buffer ships as the
-  /// LEADING slice of the same inner send_iov call, so coalesced
-  /// control bytes and borrowed table slabs still hit the wire in
-  /// program order with one vectored syscall. The wbuf slice carries no
-  /// ref — per the IoSlice contract the inner channel consumes it
-  /// before returning, so clearing wbuf_ afterwards is safe even over
-  /// an asynchronous transport.
-  void send_iov(IoSlice* slices, size_t n) override {
-    for (size_t i = 0; i < n; ++i) sent_ += slices[i].len;
-    if (wbuf_.empty()) {
-      inner_.send_iov(slices, n);
-      return;
-    }
-    static obs::Counter& flushes =
-        obs::Registry::global().counter("net.buffered.flushes");
-    static obs::Counter& flush_bytes =
-        obs::Registry::global().counter("net.buffered.flush_bytes");
-    flushes.add();
-    flush_bytes.add(wbuf_.size());
-    std::vector<IoSlice> all(n + 1);
-    all[0].data = wbuf_.data();
-    all[0].len = wbuf_.size();
-    for (size_t i = 0; i < n; ++i) all[i + 1] = std::move(slices[i]);
-    inner_.send_iov(all.data(), all.size());
-    wbuf_.clear();
-  }
-
   void recv_bytes(void* data, size_t n) override {
     flush_writes();  // everything we owe the peer goes out first
     auto* p = static_cast<uint8_t*>(data);

@@ -19,7 +19,7 @@
 //
 // Faults are drawn per channel operation with probability
 // FaultConfig::rate, so the plan composes with any decorator stack
-// (Buffered/Ring layers above, TcpChannel below) without knowing about
+// (BufferedChannel above, TcpChannel below) without knowing about
 // it. Every injection is counted process-wide (faultstat:: below,
 // `fault.*` in stats_json and BENCH rows) so a chaos run can assert
 // "≥ 1 fault actually happened" rather than trusting the dice.
@@ -214,59 +214,6 @@ class FaultChannel final : public Channel {
         inject_reset();
     }
     return 0;  // unreachable
-  }
-
-  void send_iov(IoSlice* slices, size_t n) override {
-    const auto kind = draw();
-    if (!kind) {
-      inner_.send_iov(slices, n);
-      return;
-    }
-    switch (*kind) {
-      case Kind::kShort: {
-        // Split the vectored send at a byte offset: two inner send_iov
-        // calls, so a transport's partial-completion handling runs
-        // against genuinely fragmented submissions. The straddled slice's ref is COPIED
-        // into the head half — the pin holds until both halves ship.
-        faultstat::short_writes().add();
-        size_t total = 0;
-        for (size_t i = 0; i < n; ++i) total += slices[i].len;
-        if (total < 2) {
-          inner_.send_iov(slices, n);
-          break;
-        }
-        const size_t cut =
-            1 + static_cast<size_t>(plan_.next_u64() % (total - 1));
-        std::vector<IoSlice> head, tail;
-        size_t off = 0;
-        for (size_t i = 0; i < n; ++i) {
-          IoSlice& s = slices[i];
-          if (off + s.len <= cut) {
-            head.push_back(std::move(s));
-          } else if (off >= cut) {
-            tail.push_back(std::move(s));
-          } else {
-            const size_t k = cut - off;
-            head.push_back(IoSlice{s.data, k, s.ref});  // ref copy: pin
-            tail.push_back(IoSlice{static_cast<const uint8_t*>(s.data) + k,
-                                   s.len - k, std::move(s.ref)});
-          }
-          off += s.len;
-        }
-        inner_.send_iov(head.data(), head.size());
-        std::this_thread::yield();
-        inner_.send_iov(tail.data(), tail.size());
-        break;
-      }
-      case Kind::kCorrupt:  // vectored payloads are borrowed/immutable;
-      case Kind::kDelay:    // degrade corrupt to a delay here
-      case Kind::kStall:
-        sleep_for(*kind == Kind::kStall ? Kind::kStall : Kind::kDelay);
-        inner_.send_iov(slices, n);
-        break;
-      case Kind::kReset:
-        inject_reset();
-    }
   }
 
   /// Faults injected by THIS channel instance (the global `fault.*`

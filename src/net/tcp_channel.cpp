@@ -2,12 +2,10 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
-#include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -16,7 +14,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -297,57 +294,6 @@ void TcpChannel::recv_bytes(void* data, size_t n) {
   }
   received_ += n;
   tcp_bytes_in().add(n);
-}
-
-void TcpChannel::send_iov(IoSlice* slices, size_t n) {
-  std::vector<iovec> iov;
-  iov.reserve(n);
-  size_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (slices[i].len == 0) continue;
-    iov.push_back(iovec{const_cast<void*>(slices[i].data), slices[i].len});
-    total += slices[i].len;
-  }
-  if (!iov.empty()) {
-    netstat::sends_vectored().add();
-    // sendmsg per <= IOV_MAX slices, resuming short writes mid-iovec
-    // (same EINTR/EAGAIN/peer-gone handling as send_bytes).
-    size_t at = 0;
-    while (at < iov.size()) {
-      msghdr m{};
-      m.msg_iov = iov.data() + at;
-      m.msg_iovlen = std::min(iov.size() - at, size_t{IOV_MAX});
-      const ssize_t w = ::sendmsg(fd_, &m, MSG_NOSIGNAL);
-      netstat::syscalls_send().add();
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          if (!nonblocking_)
-            throw std::runtime_error("tcp: send timed out");
-          wait_ready(POLLOUT);
-          continue;
-        }
-        if (peer_gone(errno)) throw_peer_closed();
-        die("sendmsg");
-      }
-      size_t adv = static_cast<size_t>(w);
-      while (adv > 0) {
-        if (adv >= iov[at].iov_len) {
-          adv -= iov[at].iov_len;
-          ++at;
-        } else {
-          iov[at].iov_base = static_cast<uint8_t*>(iov[at].iov_base) + adv;
-          iov[at].iov_len -= adv;
-          adv = 0;
-        }
-      }
-    }
-    sent_ += total;
-    tcp_bytes_out().add(total);
-  }
-  // Slices fully on the wire (kernel-buffered) — borrowed slabs can
-  // recycle now.
-  for (size_t i = 0; i < n; ++i) slices[i].ref.reset();
 }
 
 size_t TcpChannel::recv_some(void* data, size_t min_n, size_t max_n) {

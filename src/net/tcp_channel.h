@@ -53,12 +53,6 @@ class TcpChannel final : public Channel {
   void recv_bytes(void* data, size_t n) override;
   size_t recv_some(void* data, size_t min_n, size_t max_n) override;
 
-  /// True scatter-gather send: one sendmsg per <= IOV_MAX slices
-  /// instead of one syscall per slice, resuming short writes mid-iovec.
-  /// Slices are fully shipped before return, so borrowed refs release
-  /// here.
-  void send_iov(IoSlice* slices, size_t n) override;
-
   /// Shut both directions down without closing the fd. A thread blocked
   /// in recv on this channel wakes with a "peer closed" error — the
   /// server's forced-shutdown path for idle sessions.

@@ -194,7 +194,6 @@ void InferenceClient::recover_session() {
     lane_error_ = nullptr;
   }
   lane_garbler_.reset();
-  lane_ring_.reset();
   lane_fault_.reset();
   lane_transport_.reset();
   // One-shot invariant: drop every artifact whose transfer or OT
@@ -283,15 +282,7 @@ InferenceClient::PrefetchedMaterial InferenceClient::push_material_over(
     StreamingGarbler& g, GarbledMaterial&& mat, uint64_t id) {
   Channel& ch = g.channel();
   send_id_frame(ch, FrameType::kPrefetch, id);
-  // Donating overload: only mat.tables moves out (borrowed by the
-  // transport until the kernel send completes); delta / data_zeros /
-  // eval_zeros stay valid for the OT exchange and the return below.
-  // The copy fallback keeps the lvalue path so the two data planes can
-  // be compared on identical traffic (bench/loadgen_inference.cpp).
-  if (cfg_.stream.zero_copy_tables)
-    send_material(ch, std::move(mat));
-  else
-    send_material(ch, mat);
+  send_material(ch, mat);
   GarblerSession& session = g.session();
   {
     obs::Span ot_span("client.ot_offline");
@@ -324,20 +315,14 @@ void InferenceClient::start_lane(uint16_t lane_port, uint64_t lane_token) {
         [t = lane_transport_.get()] { t->shutdown(); });
     lane_wire = lane_fault_.get();
   }
-  // Async frame writer: artifact bytes land in the RingChannel's SPSC
-  // ring and ship from its writer thread, so the lane overlaps the
-  // next artifact's serialization + OT compute with the previous one's
-  // kernel sends. Receives drain the ring first, so the OT rounds stay
-  // correctly ordered.
-  lane_ring_ = std::make_unique<RingChannel>(*lane_wire);
   // The lane garbles nothing (artifacts come from the pool); its
   // StreamingGarbler exists for the session state the precomputed-OT
   // exchange needs, seeded independently of the primary session.
   const Block lane_seed = cfg_.seed == Block{}
                               ? Prg::from_os_entropy().next_block()
                               : (cfg_.seed ^ Block{0x1a4e, 0x517d});
-  lane_garbler_ = std::make_unique<StreamingGarbler>(*lane_ring_,
-                                                     lane_seed, cfg_.stream);
+  lane_garbler_ =
+      std::make_unique<StreamingGarbler>(*lane_wire, lane_seed, cfg_.stream);
   lane_thread_ = std::thread([this, lane_token] { lane_loop(lane_token); });
 }
 

@@ -40,9 +40,6 @@
 //     session-killing kError mid-OT.
 //   * prefetched_ — client-side remainders of pushed artifacts, lane
 //     thread → caller.
-//   * the lane's wire bytes go through a RingChannel (net/
-//     ring_channel.h), so artifact serialization and the OT rounds
-//     overlap the kernel sends instead of serializing with them.
 #pragma once
 
 #include <condition_variable>
@@ -53,7 +50,6 @@
 
 #include "fixed/fixed_point.h"
 #include "net/fault_channel.h"
-#include "net/ring_channel.h"
 #include "net/tcp_channel.h"
 #include "runtime/frame.h"
 #include "runtime/material_pool.h"
@@ -270,14 +266,11 @@ class InferenceClient {
   bool lane_up_ = false;  // attached and serving
   std::exception_ptr lane_error_;
 
-  // Lane connection: owned here, written only by lane_thread_. The
-  // RingChannel decouples the lane's frame production from the kernel
-  // sends; declaration order = teardown order (garbler flushes through
-  // the ring, the ring drains into the transport, then the socket
-  // closes).
+  // Lane connection: owned here, written only by lane_thread_.
+  // Declaration order = teardown order (the garbler flushes into the
+  // transport, then the socket closes).
   std::unique_ptr<TcpChannel> lane_transport_;
   std::unique_ptr<FaultChannel> lane_fault_;
-  std::unique_ptr<RingChannel> lane_ring_;
   std::unique_ptr<StreamingGarbler> lane_garbler_;
   std::thread lane_thread_;
 

@@ -88,8 +88,6 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
                                          EvaluatorSession& session,
                                          SessionState& state) {
   const uint64_t t0 = obs::now_ns();
-  const double eval0 = session.trace().sum_eval();
-  const double ot0 = session.trace().sum_ot();
   if (f.payload.empty()) {
     // On-demand: the client garbles on the request path.
     obs::Span span("server.infer_ondemand");
@@ -120,8 +118,9 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
     h_infer_online_.observe(obs::now_ns() - t0);
     c_inferences_pooled_.add();
   }
-  h_eval_.observe(seconds_to_ns(session.trace().sum_eval() - eval0));
-  h_ot_online_.observe(seconds_to_ns(session.trace().sum_ot() - ot0));
+  // The trace holds this run only (SessionTrace clears per run).
+  h_eval_.observe(seconds_to_ns(session.trace().sum_eval()));
+  h_ot_online_.observe(seconds_to_ns(session.trace().sum_ot()));
   ch.flush();
   c_inferences_served_.add();
   return true;

@@ -25,16 +25,9 @@
 #include "crypto/hash_backend.h"
 #include "gc/protocol.h"
 #include "net/buffered_channel.h"
-#include "support/buffer_pool.h"
 #include "support/thread_pool.h"
 
 namespace deepsecure::runtime {
-
-/// Default for StreamConfig::zero_copy_tables: on unless the
-/// DEEPSECURE_NO_ZERO_COPY environment variable is set to a non-empty
-/// value other than "0" — CI's escape hatch to exercise the copy
-/// fallback across the whole suite. Read once per process.
-bool zero_copy_tables_default();
 
 struct StreamConfig {
   GcPipeline pipeline = GcPipeline::kBatched;
@@ -60,20 +53,13 @@ struct StreamConfig {
   /// or unavailable on this host = the process-wide selection
   /// (DEEPSECURE_HASH_BACKEND env, then CPUID auto-dispatch).
   std::string hash_backend;
-  /// Garbler-side zero-copy table plane: stage batch windows in pooled
-  /// refcounted slabs and ship the table rows as borrowed iovec slices
-  /// (GcOptions::table_pool). Purely local — the wire stream is
-  /// byte-identical to the copy path — so never negotiated.
-  bool zero_copy_tables = zero_copy_tables_default();
 
-  GcOptions gc_options(ThreadPool* pool,
-                       BufferPool* table_pool = nullptr) const {
+  GcOptions gc_options(ThreadPool* pool) const {
     GcOptions o;
     o.pipeline = pipeline;
     o.framed_tables = framed_tables;
     o.schedule = schedule;
     o.pool = pool;
-    if (zero_copy_tables) o.table_pool = table_pool;
     if (!hash_backend.empty()) {
       const HashBackend* be = find_hash_backend(hash_backend);
       if (be != nullptr && be->available()) o.hash_backend = be;
@@ -101,12 +87,6 @@ class StreamingGarbler {
 
  private:
   std::unique_ptr<ThreadPool> pool_;  // may be null (0 threads)
-  // Slab pool backing the zero-copy table plane (null when
-  // zero_copy_tables is off). May die with sends still in flight — the
-  // refcounted core outlives it (support/buffer_pool.h teardown
-  // contract), so destruction order vs. an async transport is a
-  // non-issue.
-  std::unique_ptr<BufferPool> table_pool_;
   BufferedChannel ch_;
   std::unique_ptr<GarblerSession> session_;
 };

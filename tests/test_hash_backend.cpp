@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "circuit/bench_circuits.h"
 #include "circuit/builder.h"
 #include "crypto/aes128.h"
 #include "crypto/hash_backend.h"
@@ -182,20 +183,48 @@ std::vector<uint8_t> garble_stream(const Circuit& c, Block seed,
   return std::move(ch.bytes);
 }
 
+// Covers both wire formats and both gate orders. The framed stream's
+// frame cuts come from the batched walk's window boundaries, which the
+// scalar pipeline does not mark, so the reference is the batched walk
+// on the scalar AES backend; unframed, it must also equal the scalar
+// pipeline. The bench circuits are wide enough to cut several frames.
 TEST(HashBackend, GarbledTablesByteIdenticalAcrossBackends) {
+  const HashBackend* scalar_be = find_hash_backend("scalar");
+  ASSERT_NE(scalar_be, nullptr);
   Rng rng(4040);
-  for (int trial = 0; trial < 4; ++trial) {
-    const Circuit c = random_mixed_circuit(rng, 500);
+  std::vector<Circuit> circuits;
+  for (int trial = 0; trial < 4; ++trial)
+    circuits.push_back(random_mixed_circuit(rng, 500));
+  circuits.push_back(bench_circuits::wide_and(3 * kGcMaxBatchWindow + 17));
+  circuits.push_back(bench_circuits::and_chain(64));
+  circuits.push_back(bench_circuits::wide_chain_layer(1024));
+  for (size_t ci = 0; ci < circuits.size(); ++ci) {
+    const Circuit& c = circuits[ci];
     const Block seed{rng.next_u64(), rng.next_u64()};
-    GcOptions scalar_opt;
-    scalar_opt.pipeline = GcPipeline::kScalar;
-    const std::vector<uint8_t> oracle = garble_stream(c, seed, scalar_opt);
-    for (const HashBackend* be : compiled_hash_backends()) {
-      if (!be->available()) continue;
-      SCOPED_TRACE(be->name);
-      GcOptions opt;
-      opt.hash_backend = be;
-      EXPECT_EQ(oracle, garble_stream(c, seed, opt)) << "trial " << trial;
+    for (const bool framed : {false, true}) {
+      for (const bool schedule : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "circuit " << ci << " framed=" << framed
+                     << " schedule=" << schedule);
+        GcOptions base;
+        base.framed_tables = framed;
+        base.schedule = schedule;
+        GcOptions ref_opt = base;
+        ref_opt.hash_backend = scalar_be;
+        const std::vector<uint8_t> oracle = garble_stream(c, seed, ref_opt);
+        if (!framed) {
+          GcOptions scalar_opt = base;
+          scalar_opt.pipeline = GcPipeline::kScalar;
+          EXPECT_EQ(oracle, garble_stream(c, seed, scalar_opt));
+        }
+        for (const HashBackend* be : compiled_hash_backends()) {
+          if (!be->available()) continue;
+          SCOPED_TRACE(be->name);
+          GcOptions opt = base;
+          opt.hash_backend = be;
+          EXPECT_EQ(oracle, garble_stream(c, seed, opt));
+        }
+      }
     }
   }
 }

@@ -79,6 +79,45 @@ TEST(Protocol, ChainedLayersCarryLabels) {
   EXPECT_GT(trace.sum_garble(), 0.0);
 }
 
+// A long-lived session's trace describes its latest run only: repeated
+// runs must not accumulate phases (unbounded memory, and per-request
+// re-summing would grow quadratically).
+TEST(Protocol, SessionTraceHoldsLatestRunOnly) {
+  ModelSpec spec;
+  spec.name = "two_layer";
+  spec.input = Shape3{1, 1, 4};
+  spec.layers.push_back(FcLayer{3, {}, true});
+  spec.layers.push_back(ArgmaxLayer{});
+  const auto layers = synth::compile_model_layers(spec);
+  ASSERT_EQ(layers.size(), 2u);
+
+  Rng rng(7);
+  std::vector<Fixed> x, w;
+  for (size_t i = 0; i < 4; ++i) x.push_back(random_fixed(rng, kFmt, 0.2));
+  for (size_t i = 0; i < synth::model_weight_count(spec); ++i)
+    w.push_back(random_fixed(rng, kFmt, 0.2));
+  const BitVec data = pack_fixed(x), weights = pack_fixed(w);
+
+  std::vector<size_t> g_phases, e_phases;
+  run_two_party(
+      [&](Channel& ch) {
+        GarblerSession session(ch, Block{2024, 8});
+        for (int run = 0; run < 3; ++run) {
+          session.run_chain(layers, data);
+          g_phases.push_back(session.trace().phases.size());
+        }
+      },
+      [&](Channel& ch) {
+        EvaluatorSession session(ch);
+        for (int run = 0; run < 3; ++run) {
+          session.run_chain(layers, weights);
+          e_phases.push_back(session.trace().phases.size());
+        }
+      });
+  EXPECT_EQ(g_phases, (std::vector<size_t>{2, 2, 2}));
+  EXPECT_EQ(e_phases, (std::vector<size_t>{2, 2, 2}));
+}
+
 TEST(Protocol, TanhNetworkEndToEnd) {
   ModelSpec spec;
   spec.name = "tanh_net";

@@ -2,7 +2,7 @@
 // deterministic chaos plans (net/fault_channel.h), client reconnect
 // with backoff and material poisoning (runtime/client.h), server load
 // shedding (kBusy) and frame-parser hardening, and exact resumption of
-// short vectored sends.
+// short sends.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -139,8 +139,8 @@ TEST(FaultPlan, RateZeroNeverInjects) {
   for (const auto& [injected, threw] : t) EXPECT_FALSE(threw);
 }
 
-// Split faults (short writes, vectored straddles) must preserve the
-// byte stream exactly — chaos reorders operations, never payloads.
+// Split faults (short writes) must preserve the byte stream exactly —
+// chaos reorders operations, never payloads.
 class CaptureChannel final : public Channel {
  public:
   void send_bytes(const void* data, size_t n) override {
@@ -164,24 +164,11 @@ TEST(FaultPlan, ShortWriteSplitsPreserveByteStream) {
   std::vector<uint8_t> expected;
   Rng rng(31337);
   for (size_t op = 0; op < 120; ++op) {
-    // Three buffers sent as one vectored call on odd ops, a flat
-    // send on even ops; straddle splits copy BufferRefs, so back the
-    // slices with stable storage for the duration of the call.
-    std::vector<uint8_t> a(17 + op % 64), b(5), c(41);
-    for (auto* v : {&a, &b, &c})
-      for (auto& byte : *v) byte = static_cast<uint8_t>(rng.next_u64());
+    std::vector<uint8_t> a(17 + op % 64);
+    for (auto& byte : a) byte = static_cast<uint8_t>(rng.next_u64());
     try {
-      if (op % 2 == 0) {
-        ch.send_bytes(a.data(), a.size());
-        expected.insert(expected.end(), a.begin(), a.end());
-      } else {
-        IoSlice sl[3] = {{a.data(), a.size(), {}},
-                         {b.data(), b.size(), {}},
-                         {c.data(), c.size(), {}}};
-        ch.send_iov(sl, 3);
-        for (auto* v : {&a, &b, &c})
-          expected.insert(expected.end(), v->begin(), v->end());
-      }
+      ch.send_bytes(a.data(), a.size());
+      expected.insert(expected.end(), a.begin(), a.end());
     } catch (const std::exception&) {
       // Injected reset: thrown BEFORE any inner write, so the capture
       // must not contain a torn prefix of this op's payload.
@@ -467,11 +454,11 @@ TEST(ServerResilience, ClientRecoversAcrossServerRestartWithFreshMaterial) {
 
 // ---------------------------------------------------------------------
 // Short-send regression: a tiny SO_SNDBUF against a slow reader forces
-// short sendmsg returns on a nonblocking fd, so send_iov must resume
-// each one at the exact byte offset inside its iovec, gap-free.
+// short send returns on a nonblocking fd, so send_bytes must resume
+// each one at the exact byte offset, gap-free.
 // ---------------------------------------------------------------------
 
-TEST(TcpShortSend, SendIovResumesExactByteStreamThroughTinySndbuf) {
+TEST(TcpShortSend, SendBytesResumesExactByteStreamThroughTinySndbuf) {
   TcpListener listener(0);
   std::optional<TcpChannel> reader_side;
   std::thread acceptor([&] { reader_side.emplace(listener.accept()); });
@@ -485,8 +472,8 @@ TEST(TcpShortSend, SendIovResumesExactByteStreamThroughTinySndbuf) {
             0);
   sender.set_nonblocking(true);
 
-  // ~1 MiB in deliberately ragged slice sizes so short completions land
-  // mid-slice, mid-chain, and on slice boundaries.
+  // ~1 MiB in deliberately ragged buffer sizes so short completions land
+  // mid-buffer and on buffer boundaries.
   std::vector<std::vector<uint8_t>> bufs;
   std::vector<uint8_t> expected;
   Rng rng(90210);
@@ -518,17 +505,12 @@ TEST(TcpShortSend, SendIovResumesExactByteStreamThroughTinySndbuf) {
     }
   });
 
-  for (size_t i = 0; i < bufs.size();) {
-    std::vector<IoSlice> batch;
-    for (size_t k = 0; k < 24 && i < bufs.size(); ++k, ++i)
-      batch.push_back(IoSlice{bufs[i].data(), bufs[i].size(), {}});
-    sender.send_iov(batch.data(), batch.size());
-  }
+  for (const auto& b : bufs) sender.send_bytes(b.data(), b.size());
   sender.shutdown();  // a short stream then ends in EOF, not a hang
   reader.join();
 
   EXPECT_EQ(received, expected)
-      << "short sendmsg returns must resume at the exact byte offset";
+      << "short send returns must resume at the exact byte offset";
   EXPECT_EQ(sender.bytes_sent(), total);
   EXPECT_GT(resumes.value(), resumes_before)
       << "the send buffer never filled, so no short send was exercised";

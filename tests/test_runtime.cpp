@@ -14,11 +14,9 @@
 #include "circuit/bench_circuits.h"
 #include "circuit/builder.h"
 #include "crypto/hash_backend.h"
-#include "gc/batch_walk.h"
 #include "gc/garble.h"
 #include "gc/material.h"
 #include "net/mem_channel.h"
-#include "support/buffer_pool.h"
 #include "runtime/frame.h"
 #include "runtime/material_pool.h"
 #include "runtime/streaming.h"
@@ -256,43 +254,6 @@ TEST(RuntimeStream, ThreadPoolGarblingByteIdenticalToSequential) {
     EXPECT_EQ(garble_stream(c, Block{21, 42}, mt), reference)
         << workers << " workers";
   }
-}
-
-// Zero-copy data plane: pool-slab-backed garbling shipping borrowed
-// iovec slices must put the EXACT bytes of the copy path on the wire —
-// same frame cuts, same payload — in both schedule modes and across
-// hash backends (the recording channel funnels send_iov through the
-// copy fallback, so the comparison covers the full slice assembly).
-TEST(RuntimeStream, ZeroCopyStreamByteIdenticalToCopyPath) {
-  const std::string orig_backend = hash_backend().name;
-  const Circuit circuits[] = {bench_circuits::wide_and(3 * kGcMaxBatchWindow + 17),
-                              bench_circuits::and_chain(64),
-                              bench_circuits::wide_chain_layer(1024)};
-  size_t backends_covered = 0;
-  for (const char* backend : {"vaes16", "aesni8", "bitsliced8", "scalar"}) {
-    if (backends_covered == 2) break;  // two backends is the contract
-    if (!set_hash_backend(backend)) continue;  // not on this host
-    ++backends_covered;
-    for (const bool schedule : {false, true}) {
-      for (const Circuit& c : circuits) {
-        GcOptions copy;
-        copy.framed_tables = true;
-        copy.schedule = schedule;
-        const auto reference = garble_stream(c, Block{33, 44}, copy);
-        BufferPool slab_pool(GarbleWindowLine::bytes_for(kGcMaxBatchWindow));
-        GcOptions zc = copy;
-        zc.table_pool = &slab_pool;
-        EXPECT_EQ(garble_stream(c, Block{33, 44}, zc), reference)
-            << c.name << " backend=" << backend << " schedule=" << schedule;
-        // Every slab came back: the recording channel consumes borrowed
-        // slices synchronously, so nothing may stay checked out.
-        BufferRef probe = slab_pool.acquire();
-        EXPECT_EQ(probe.use_count(), 1u) << c.name;
-      }
-    }
-  }
-  EXPECT_GE(backends_covered, 1u);
-  set_hash_backend(orig_backend);
 }
 
 TEST(RuntimeStream, XorOnlyCircuitProducesNoFrames) {
