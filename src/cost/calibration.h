@@ -17,6 +17,10 @@ struct Calibration {
   double ot_per_s = 0.0;             // OT-extension label transfers / s
 };
 
+/// Seconds for one correlated OT-extension batch of `m` transfers over
+/// the in-memory channel, setup (base OTs) excluded.
+double time_ot_extension(size_t m);
+
 /// Measure this host. `gates` controls the synthetic circuit size.
 Calibration calibrate(size_t gates = 200000);
 

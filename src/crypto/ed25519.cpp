@@ -1,7 +1,6 @@
 #include "crypto/ed25519.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace deepsecure {
 namespace {
@@ -14,20 +13,102 @@ Fe25519 fe_select(const Fe25519& a, const Fe25519& b, uint64_t bit) {
   return r;
 }
 
-Ed25519Point point_select(const Ed25519Point& a, const Ed25519Point& b,
-                          uint64_t bit) {
-  Ed25519Point r;
-  r.x = fe_select(a.x, b.x, bit);
-  r.y = fe_select(a.y, b.y, bit);
-  r.z = fe_select(a.z, b.z, bit);
-  r.t = fe_select(a.t, b.t, bit);
-  return r;
-}
-
 const Fe25519& two_d() {
   static const Fe25519 k2d = Fe25519::add(ed25519_d(), ed25519_d());
   return k2d;
 }
+
+// All-ones when a == b, else zero; no branch (a, b < 2^63).
+uint64_t eq_mask(uint64_t a, uint64_t b) {
+  return 0 - (((a ^ b) - 1) >> 63);
+}
+
+// acc |= mask & x, limb by limb.
+void fe_or_masked(Fe25519& acc, const Fe25519& x, uint64_t mask) {
+  for (int i = 0; i < 5; ++i) acc.v[i] |= mask & x.v[i];
+}
+
+// Projective Niels form (Y+X, Y-X, 2Z, 2dT) of a table entry for the
+// variable-base window: adding it costs 8 muls instead of 9.
+struct ProjNiels {
+  Fe25519 ypx, ymx, z2, t2d;
+};
+
+// Table lookups OR together every entry masked by eq_mask(j, index): all
+// entries are read whatever the index, so the lookup leaks nothing
+// through timing or the cache.
+ProjNiels ct_lookup(const ProjNiels* row, size_t n, uint64_t index) {
+  ProjNiels r{};
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t mask = eq_mask(j, index);
+    fe_or_masked(r.ypx, row[j].ypx, mask);
+    fe_or_masked(r.ymx, row[j].ymx, mask);
+    fe_or_masked(r.z2, row[j].z2, mask);
+    fe_or_masked(r.t2d, row[j].t2d, mask);
+  }
+  return r;
+}
+
+Ed25519Table::Niels ct_lookup(const Ed25519Table::Niels* row, size_t n,
+                              uint64_t index) {
+  Ed25519Table::Niels r{};
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t mask = eq_mask(j, index);
+    fe_or_masked(r.ypx, row[j].ypx, mask);
+    fe_or_masked(r.ymx, row[j].ymx, mask);
+    fe_or_masked(r.xy2d, row[j].xy2d, mask);
+  }
+  return r;
+}
+
+ProjNiels to_proj_niels(const Ed25519Point& p) {
+  using F = Fe25519;
+  return {F::add(p.y, p.x), F::sub(p.y, p.x), F::add(p.z, p.z),
+          F::mul(p.t, two_d())};
+}
+
+// Shared tail of the a = -1 addition formulas (EFD add-2008-hwcd-3) and
+// of doubling.
+Ed25519Point from_efgh(const Fe25519& e, const Fe25519& f, const Fe25519& g,
+                       const Fe25519& h) {
+  using F = Fe25519;
+  Ed25519Point r;
+  r.x = F::mul(e, f);
+  r.y = F::mul(g, h);
+  r.t = F::mul(e, h);
+  r.z = F::mul(f, g);
+  return r;
+}
+
+// p + q, q in projective Niels form. Complete: the identity entry
+// (1, 1, 2, 0) works like any other.
+Ed25519Point add_proj_niels(const Ed25519Point& p, const ProjNiels& q) {
+  using F = Fe25519;
+  const F a = F::mul(F::sub(p.y, p.x), q.ymx);
+  const F b = F::mul(F::add(p.y, p.x), q.ypx);
+  const F c = F::mul(p.t, q.t2d);
+  const F d = F::mul(p.z, q.z2);
+  return from_efgh(F::sub(b, a), F::sub(d, c), F::add(d, c), F::add(b, a));
+}
+
+// p + q, q in affine Niels form (Z = 1): 7 muls.
+Ed25519Point add_affine_niels(const Ed25519Point& p,
+                              const Ed25519Table::Niels& q) {
+  using F = Fe25519;
+  const F a = F::mul(F::sub(p.y, p.x), q.ymx);
+  const F b = F::mul(F::add(p.y, p.x), q.ypx);
+  const F c = F::mul(p.t, q.xy2d);
+  const F d = F::add(p.z, p.z);
+  return from_efgh(F::sub(b, a), F::sub(d, c), F::add(d, c), F::add(b, a));
+}
+
+// Nibble w (0..63) of a little-endian 256-bit scalar.
+uint64_t nibble(const Ed25519Scalar& k, int w) {
+  return (k[w / 2] >> (4 * (w % 2))) & 0xFu;
+}
+
+constexpr int kWindows = 64;  // 4-bit windows in a 256-bit scalar
+constexpr int kWindowSize = 16;
 
 }  // namespace
 
@@ -76,22 +157,7 @@ Ed25519Point Ed25519Point::identity() {
 }
 
 Ed25519Point Ed25519Point::add(const Ed25519Point& p, const Ed25519Point& q) {
-  // EFD add-2008-hwcd-3 for a = -1.
-  using F = Fe25519;
-  const F a = F::mul(F::sub(p.y, p.x), F::sub(q.y, q.x));
-  const F b = F::mul(F::add(p.y, p.x), F::add(q.y, q.x));
-  const F c = F::mul(F::mul(p.t, two_d()), q.t);
-  const F d = F::mul(F::add(p.z, p.z), q.z);
-  const F e = F::sub(b, a);
-  const F f = F::sub(d, c);
-  const F g = F::add(d, c);
-  const F h = F::add(b, a);
-  Ed25519Point r;
-  r.x = F::mul(e, f);
-  r.y = F::mul(g, h);
-  r.t = F::mul(e, h);
-  r.z = F::mul(f, g);
-  return r;
+  return add_proj_niels(p, to_proj_niels(q));
 }
 
 Ed25519Point Ed25519Point::dbl(const Ed25519Point& p) {
@@ -107,12 +173,7 @@ Ed25519Point Ed25519Point::dbl(const Ed25519Point& p) {
   const F g = F::add(d, b);
   const F f = F::sub(g, c);
   const F h = F::sub(d, b);
-  Ed25519Point r;
-  r.x = F::mul(e, f);
-  r.y = F::mul(g, h);
-  r.t = F::mul(e, h);
-  r.z = F::mul(f, g);
-  return r;
+  return from_efgh(e, f, g, h);
 }
 
 Ed25519Point Ed25519Point::neg(const Ed25519Point& p) {
@@ -122,25 +183,85 @@ Ed25519Point Ed25519Point::neg(const Ed25519Point& p) {
   return r;
 }
 
+Ed25519Point Ed25519Point::select(const Ed25519Point& a,
+                                  const Ed25519Point& b, uint64_t bit) {
+  Ed25519Point r;
+  r.x = fe_select(a.x, b.x, bit);
+  r.y = fe_select(a.y, b.y, bit);
+  r.z = fe_select(a.z, b.z, bit);
+  r.t = fe_select(a.t, b.t, bit);
+  return r;
+}
+
 Ed25519Point Ed25519Point::mul(const Ed25519Point& p, const Ed25519Scalar& k) {
+  // table[j] = j * p.
+  ProjNiels table[kWindowSize];
+  Ed25519Point multiple = identity();
+  for (int j = 0; j < kWindowSize; ++j) {
+    table[j] = to_proj_niels(multiple);
+    multiple = add(multiple, p);
+  }
   Ed25519Point acc = identity();
-  for (int i = 255; i >= 0; --i) {
-    acc = dbl(acc);
-    const uint64_t bit = (k[i / 8] >> (i % 8)) & 1u;
-    const Ed25519Point with = add(acc, p);
-    acc = point_select(acc, with, bit);
+  for (int w = kWindows - 1; w >= 0; --w) {
+    for (int i = 0; i < 4; ++i) acc = dbl(acc);
+    acc = add_proj_niels(acc, ct_lookup(table, kWindowSize, nibble(k, w)));
   }
   return acc;
 }
 
+Ed25519Point Ed25519Point::base_mul(const Ed25519Scalar& k) {
+  static const Ed25519Table table(base());
+  return table.mul(k);
+}
+
+Ed25519Table::Ed25519Table(const Ed25519Point& p) {
+  // Projective multiples first, then one batched inversion for all Z.
+  std::vector<Ed25519Point> pts(kWindows * kWindowSize);
+  Ed25519Point row_base = p;  // 16^w * p
+  for (int w = 0; w < kWindows; ++w) {
+    Ed25519Point* row = &pts[w * kWindowSize];
+    row[0] = Ed25519Point::identity();
+    for (int j = 1; j < kWindowSize; ++j)
+      row[j] = Ed25519Point::add(row[j - 1], row_base);
+    row_base = Ed25519Point::add(row[kWindowSize - 1], row_base);
+  }
+  std::vector<Fe25519> zinv(pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) zinv[i] = pts[i].z;
+  Fe25519::invert_batch(zinv.data(), zinv.size());
+  entries_.resize(pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) {
+    using F = Fe25519;
+    const F x = F::mul(pts[i].x, zinv[i]);
+    const F y = F::mul(pts[i].y, zinv[i]);
+    entries_[i] = {F::add(y, x), F::sub(y, x), F::mul(F::mul(x, y), two_d())};
+  }
+}
+
+Ed25519Point Ed25519Table::mul(const Ed25519Scalar& k) const {
+  // k * P = sum over windows w of nibble_w * 16^w * P: one lookup and
+  // one mixed addition per window.
+  Ed25519Point acc = Ed25519Point::identity();
+  for (int w = 0; w < kWindows; ++w)
+    acc = add_affine_niels(
+        acc, ct_lookup(&entries_[w * kWindowSize], kWindowSize, nibble(k, w)));
+  return acc;
+}
+
 std::array<uint8_t, 64> Ed25519Point::encode() const {
-  const Fe25519 zinv = Fe25519::invert(z);
-  const Fe25519 ax = Fe25519::mul(x, zinv);
-  const Fe25519 ay = Fe25519::mul(y, zinv);
   std::array<uint8_t, 64> out{};
-  ax.to_bytes(out.data());
-  ay.to_bytes(out.data() + 32);
+  encode_batch(this, 1, out.data());
   return out;
+}
+
+void Ed25519Point::encode_batch(const Ed25519Point* pts, size_t n,
+                                uint8_t* out) {
+  std::vector<Fe25519> zinv(n);
+  for (size_t i = 0; i < n; ++i) zinv[i] = pts[i].z;
+  Fe25519::invert_batch(zinv.data(), n);
+  for (size_t i = 0; i < n; ++i) {
+    Fe25519::mul(pts[i].x, zinv[i]).to_bytes(out + 64 * i);
+    Fe25519::mul(pts[i].y, zinv[i]).to_bytes(out + 64 * i + 32);
+  }
 }
 
 std::optional<Ed25519Point> Ed25519Point::decode(const uint8_t in[64]) {

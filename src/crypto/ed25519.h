@@ -10,8 +10,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "crypto/fe25519.h"
 
@@ -35,14 +37,24 @@ struct Ed25519Point {
     return add(p, neg(q));
   }
 
-  /// Scalar multiplication, double-and-add with branch-free selection.
+  /// Branch-free select: b when bit == 1, else a.
+  static Ed25519Point select(const Ed25519Point& a, const Ed25519Point& b,
+                             uint64_t bit);
+
+  /// k * p for any 256-bit k (not reduced mod l), constant time: a
+  /// fixed 4-bit window over a 16-entry table of multiples of p, read
+  /// by a masked scan of every entry — 256 doublings, 64 additions, no
+  /// secret-dependent branch or index.
   static Ed25519Point mul(const Ed25519Point& p, const Ed25519Scalar& k);
-  static Ed25519Point base_mul(const Ed25519Scalar& k) {
-    return mul(base(), k);
-  }
+  /// k * B through the precomputed fixed-base table of the generator.
+  static Ed25519Point base_mul(const Ed25519Scalar& k);
 
   /// Affine serialization: x (32B) || y (32B).
   std::array<uint8_t, 64> encode() const;
+  /// encode() of `n` points into out[64 * n], sharing one field
+  /// inversion across the batch (Montgomery's trick). Byte-identical to
+  /// encoding each point on its own.
+  static void encode_batch(const Ed25519Point* pts, size_t n, uint8_t* out);
   /// Parse and validate the curve equation; nullopt when off-curve.
   static std::optional<Ed25519Point> decode(const uint8_t in[64]);
 
@@ -51,6 +63,26 @@ struct Ed25519Point {
 
   /// On-curve check in projective form.
   bool on_curve() const;
+};
+
+/// Fixed-base table for one point P: entry [w][j] = j * 16^w * P in
+/// affine Niels form (y+x, y-x, 2dxy), 64 windows of 16 entries. mul(k)
+/// is then 64 mixed additions and no doublings, each entry read by the
+/// same masked full-row scan as Ed25519Point::mul. Building one costs
+/// about as much as eight variable-base multiplications, so it pays off
+/// for a point that is multiplied many times: the generator (a process-wide
+/// table behind base_mul) and the base-OT receiver's fixed A.
+class Ed25519Table {
+ public:
+  explicit Ed25519Table(const Ed25519Point& p);
+  Ed25519Point mul(const Ed25519Scalar& k) const;
+
+  struct Niels {
+    Fe25519 ypx, ymx, xy2d;
+  };
+
+ private:
+  std::vector<Niels> entries_;  // 64 rows x 16
 };
 
 /// The curve constant d = -121665/121666 (computed once).

@@ -1,38 +1,9 @@
 #include "crypto/fe25519.h"
 
 #include <cstring>
+#include <vector>
 
 namespace deepsecure {
-namespace {
-
-using u128 = unsigned __int128;
-constexpr uint64_t kMask = (1ull << 51) - 1;
-
-// One weak-reduction pass: after this, limbs fit in 52 bits provided the
-// inputs fit in 63 bits.
-void carry_pass(std::array<uint64_t, 5>& v) {
-  for (int i = 0; i < 4; ++i) {
-    v[i + 1] += v[i] >> 51;
-    v[i] &= kMask;
-  }
-  v[0] += 19 * (v[4] >> 51);
-  v[4] &= kMask;
-}
-
-void carry_u128(std::array<u128, 5>& c, std::array<uint64_t, 5>& out) {
-  u128 carry = 0;
-  for (int i = 0; i < 5; ++i) {
-    c[i] += carry;
-    out[i] = static_cast<uint64_t>(c[i]) & kMask;
-    carry = c[i] >> 51;
-  }
-  // Wrap the final carry (multiples of 2^255 == multiples of 19).
-  uint64_t wrapped = static_cast<uint64_t>(carry) * 19;
-  out[0] += wrapped;
-  carry_pass(out);
-}
-
-}  // namespace
 
 Fe25519 Fe25519::from_u64(uint64_t x) {
   Fe25519 r;
@@ -41,83 +12,59 @@ Fe25519 Fe25519::from_u64(uint64_t x) {
   return r;
 }
 
-Fe25519 Fe25519::add(const Fe25519& a, const Fe25519& b) {
-  Fe25519 r;
-  for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + b.v[i];
-  carry_pass(r.v);
-  return r;
+// Both exponents share the standard curve25519 addition chain up to
+// a^(2^250 - 1): 11 muls and 250-odd squarings instead of a generic
+// square-and-multiply's ~250 muls.
+namespace {
+
+// Returns a^(2^250 - 1); also hands back a^11 (the invert tail uses it).
+Fe25519 pow_2_250_minus_1(const Fe25519& a, Fe25519* a11) {
+  using F = Fe25519;
+  const F a2 = F::square(a);
+  const F a9 = F::mul(F::square_n(a2, 2), a);
+  *a11 = F::mul(a9, a2);
+  const F e5 = F::mul(F::square(*a11), a9);        // 2^5 - 1
+  const F e10 = F::mul(F::square_n(e5, 5), e5);     // 2^10 - 1
+  const F e20 = F::mul(F::square_n(e10, 10), e10);  // 2^20 - 1
+  const F e40 = F::mul(F::square_n(e20, 20), e20);  // 2^40 - 1
+  const F e50 = F::mul(F::square_n(e40, 10), e10);  // 2^50 - 1
+  const F e100 = F::mul(F::square_n(e50, 50), e50);     // 2^100 - 1
+  const F e200 = F::mul(F::square_n(e100, 100), e100);  // 2^200 - 1
+  return F::mul(F::square_n(e200, 50), e50);            // 2^250 - 1
 }
 
-Fe25519 Fe25519::sub(const Fe25519& a, const Fe25519& b) {
-  // Add 8p (limb-wise) so the per-limb subtraction cannot underflow for
-  // weakly-reduced inputs (< 2^52 per limb).
-  Fe25519 r;
-  r.v[0] = a.v[0] + 0xFFFFFFFFFFFDAull * 4 - b.v[0];
-  r.v[1] = a.v[1] + 0xFFFFFFFFFFFFEull * 4 - b.v[1];
-  r.v[2] = a.v[2] + 0xFFFFFFFFFFFFEull * 4 - b.v[2];
-  r.v[3] = a.v[3] + 0xFFFFFFFFFFFFEull * 4 - b.v[3];
-  r.v[4] = a.v[4] + 0xFFFFFFFFFFFFEull * 4 - b.v[4];
-  carry_pass(r.v);
-  carry_pass(r.v);
-  return r;
-}
-
-Fe25519 Fe25519::neg(const Fe25519& a) { return sub(zero(), a); }
-
-Fe25519 Fe25519::mul(const Fe25519& a, const Fe25519& b) {
-  const auto& x = a.v;
-  const auto& y = b.v;
-  std::array<u128, 5> c{};
-  c[0] = u128(x[0]) * y[0] +
-         u128(19) * (u128(x[1]) * y[4] + u128(x[2]) * y[3] +
-                     u128(x[3]) * y[2] + u128(x[4]) * y[1]);
-  c[1] = u128(x[0]) * y[1] + u128(x[1]) * y[0] +
-         u128(19) * (u128(x[2]) * y[4] + u128(x[3]) * y[3] + u128(x[4]) * y[2]);
-  c[2] = u128(x[0]) * y[2] + u128(x[1]) * y[1] + u128(x[2]) * y[0] +
-         u128(19) * (u128(x[3]) * y[4] + u128(x[4]) * y[3]);
-  c[3] = u128(x[0]) * y[3] + u128(x[1]) * y[2] + u128(x[2]) * y[1] +
-         u128(x[3]) * y[0] + u128(19) * (u128(x[4]) * y[4]);
-  c[4] = u128(x[0]) * y[4] + u128(x[1]) * y[3] + u128(x[2]) * y[2] +
-         u128(x[3]) * y[1] + u128(x[4]) * y[0];
-  Fe25519 r;
-  carry_u128(c, r.v);
-  return r;
-}
-
-Fe25519 Fe25519::square(const Fe25519& a) { return mul(a, a); }
+}  // namespace
 
 Fe25519 Fe25519::invert(const Fe25519& a) {
-  // p - 2 = 2^255 - 21: square-and-multiply over the fixed exponent.
-  // Exponent bits: all ones except bits 1 and 3 are zero.
-  //   p-2 = ...11111111111101011 (low bits: 0b...01011)
-  // Simpler: iterate bits of p-2 from MSB using its closed form.
-  Fe25519 result = one();
-  Fe25519 base = a;
-  // Bits of p-2, little-endian: bit i of (2^255 - 21).
-  // 2^255 - 21 = 2^255 - 16 - 4 - 1 -> low 5 bits are 01011 (11 = 0b01011).
-  for (int i = 254; i >= 0; --i) {
-    result = square(result);
-    int bit;
-    if (i >= 5) {
-      bit = 1;
-    } else {
-      // Low 5 bits of (2^255 - 21): 2^5 - 21 = 11 = 0b01011.
-      bit = (11 >> i) & 1;
-    }
-    if (bit) result = mul(result, base);
-  }
-  return result;
+  // p - 2 = 2^255 - 21 = (2^250 - 1) * 2^5 + 11.
+  Fe25519 a11;
+  const Fe25519 e250 = pow_2_250_minus_1(a, &a11);
+  return mul(square_n(e250, 5), a11);
 }
 
 Fe25519 Fe25519::pow_p38(const Fe25519& a) {
-  // (p+3)/8 = 2^252 - 2: binary is 251 ones followed by a zero.
-  Fe25519 result = one();
-  for (int i = 251; i >= 0; --i) {
-    result = square(result);
-    const int bit = (i >= 1) ? 1 : 0;
-    if (bit) result = mul(result, a);
+  // (p + 3) / 8 = 2^252 - 2 = (2^250 - 1) * 2^2 + 2.
+  Fe25519 a11;
+  const Fe25519 e250 = pow_2_250_minus_1(a, &a11);
+  return mul(square_n(e250, 2), square(a));
+}
+
+void Fe25519::invert_batch(Fe25519* a, size_t n) {
+  if (n == 0) return;
+  // prefix[i] = a[0] * ... * a[i-1]; one inversion of the full product,
+  // then walk back peeling one factor per step.
+  std::vector<Fe25519> prefix(n);
+  Fe25519 acc = one();
+  for (size_t i = 0; i < n; ++i) {
+    prefix[i] = acc;
+    acc = mul(acc, a[i]);
   }
-  return result;
+  acc = invert(acc);  // 1 / (a[0] * ... * a[n-1])
+  for (size_t i = n; i-- > 0;) {
+    const Fe25519 inv = mul(acc, prefix[i]);
+    acc = mul(acc, a[i]);
+    a[i] = inv;
+  }
 }
 
 void Fe25519::cswap(Fe25519& a, Fe25519& b, uint64_t bit) {

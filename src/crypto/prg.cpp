@@ -54,22 +54,29 @@ void Prg::fill_bytes(void* dst, size_t n) {
 }
 
 std::vector<uint8_t> Prg::expand_bits(size_t n) {
+  std::vector<Block> packed((n + 127) / 128);
+  next_bits_packed(packed.data(), n);
   std::vector<uint8_t> bits(n);
-  constexpr size_t kChunk = 128;  // blocks per batch = 16 Kibit
-  Block buf[kChunk];
-  size_t i = 0;
-  while (i < n) {
-    const size_t m = std::min((n - i + 127) / 128, kChunk);
-    next_blocks(buf, m);
-    for (size_t blk = 0; blk < m; ++blk) {
-      for (int half = 0; half < 2 && i < n; ++half) {
-        const uint64_t word = half == 0 ? buf[blk].lo : buf[blk].hi;
-        for (int j = 0; j < 64 && i < n; ++j, ++i)
-          bits[i] = static_cast<uint8_t>((word >> j) & 1u);
-      }
-    }
+  for (size_t i = 0; i < n; ++i) {
+    const Block& b = packed[i / 128];
+    const uint64_t word = (i % 128) < 64 ? b.lo : b.hi;
+    bits[i] = static_cast<uint8_t>((word >> (i % 64)) & 1u);
   }
   return bits;
+}
+
+void Prg::next_bits_packed(Block* out, size_t n) {
+  const size_t blocks = (n + 127) / 128;
+  next_blocks(out, blocks);
+  const size_t tail = n % 128;  // valid bits in the last block (0 = all)
+  if (tail == 0) return;
+  Block& last = out[blocks - 1];
+  if (tail <= 64) {
+    last.hi = 0;
+    if (tail < 64) last.lo &= (1ull << tail) - 1;
+  } else {
+    last.hi &= (1ull << (tail - 64)) - 1;
+  }
 }
 
 Prg& thread_prg() {

@@ -23,8 +23,14 @@ class Prg {
   void fill_bytes(void* dst, size_t n);
   uint64_t next_u64() { return next_block().lo; }
 
-  /// Expand a seed into `n` pseudo-random bits (for IKNP columns).
+  /// `n` pseudo-random bits, one byte (0/1) per bit: the unpacked form
+  /// of next_bits_packed, consuming the same keystream.
   std::vector<uint8_t> expand_bits(size_t n);
+
+  /// `n` pseudo-random bits as a bit-packed column (IKNP): the next
+  /// ceil(n/128) keystream blocks as they are, so bit j is bit j%64 of
+  /// out[j/128].lo (j%128 < 64) or .hi. Bits past n are zeroed.
+  void next_bits_packed(Block* out, size_t n);
 
  private:
   Aes128Key key_;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -36,6 +37,14 @@ void base_ot_send(Channel& ch, const std::vector<std::pair<Block, Block>>& msgs,
 std::vector<Block> base_ot_recv(Channel& ch, const BitVec& choices, Prg& prg);
 
 inline constexpr size_t kOtExtKappa = 128;  // base-OT security parameter
+
+/// IKNP's matrix flip, one slice at a time. `cols` holds kOtExtKappa
+/// bit-packed columns of `m` bits, column i at cols[i * ceil(m/128) ...]
+/// in the Prg::next_bits_packed layout. Writes rows row0 .. row0+n-1 to
+/// rows[0 .. n-1], row j's bit i being column i's bit j (bits 0-63 in
+/// lo, 64-127 in hi). row0 must be a multiple of 64.
+void iknp_transpose(const std::vector<Block>& cols, size_t m, size_t row0,
+                    size_t n, Block* rows);
 
 /// A batch of precomputed random OTs, sender side: uniform pairs
 /// (r0[i], r1[i]) of which the receiver knows exactly one.
@@ -83,7 +92,12 @@ class OtExtSender {
                                     Block delta);
 
  private:
-  std::vector<Block> recv_q_rows(size_t m);
+  /// consume(j0, n, r0, r1): the random-OT pairs of OTs j0 .. j0+n-1.
+  using PairChunkFn = std::function<void(size_t, size_t, const Block*,
+                                         const Block*)>;
+  /// One extension round of `m` OTs: receive the u columns, then hand
+  /// the pairs (H(q_j, j), H(q_j ^ s, j)) to `consume` slice by slice.
+  void extend(size_t m, const PairChunkFn& consume);
 
   Channel& ch_;
   BitVec s_;                       // kappa secret choice bits
@@ -114,9 +128,12 @@ class OtExtReceiver {
                                        const BitVec& choices);
 
  private:
+  /// consume(j0, n, h): H(t_j, j) for OTs j0 .. j0+n-1.
+  using RowChunkFn = std::function<void(size_t, size_t, const Block*)>;
   /// Extension round for `choices`: expand the column PRGs, ship the u
-  /// columns as one packed bulk message, return the t rows.
-  std::vector<Block> send_t_rows(const BitVec& choices);
+  /// columns as one packed bulk message, then hand the row hashes to
+  /// `consume` slice by slice.
+  void extend(const BitVec& choices, const RowChunkFn& consume);
 
   Channel& ch_;
   std::vector<std::unique_ptr<Prg>> col_prg0_;  // PRG(k_i^0)

@@ -4,9 +4,14 @@
 //   Sender keys:   k_j = H(a * (B - jA), i)    for j in {0,1}
 //   Receiver key:  k_c = H(b * A, i)
 // since a(B - cA) = abG.
+//
+// Cost: the sender computes a * B once per instance and gets the other
+// key point as a*B - a*A, with a*A computed once. The receiver's b*G
+// and b*A both go through fixed-base tables (the generator's is
+// process-wide, A's is built per run). Every batch of points is encoded
+// with one shared field inversion.
 #include "gc/ot.h"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "crypto/ed25519.h"
@@ -24,9 +29,8 @@ Ed25519Scalar random_scalar(Prg& prg) {
   return k;
 }
 
-Block point_kdf(const Ed25519Point& p, uint64_t index) {
-  const auto enc = p.encode();
-  return kdf_block("deepsecure-base-ot", index, enc.data(), enc.size());
+Block point_kdf(const uint8_t enc[64], uint64_t index) {
+  return kdf_block("deepsecure-base-ot", index, enc, 64);
 }
 
 void send_point(Channel& ch, const Ed25519Point& p) {
@@ -58,15 +62,22 @@ void base_ot_send(Channel& ch, const std::vector<std::pair<Block, Block>>& msgs,
 
   std::vector<uint8_t> enc_bs(n * 64);
   if (n > 0) ch.recv_bytes(enc_bs.data(), enc_bs.size());
-  std::vector<Block> payload(2 * n);
+  // k_points[2i + j] = a * (B_i - j*A) = a*B_i - j*(a*A).
+  const Ed25519Point a_big_a = Ed25519Point::mul(big_a, a);
+  std::vector<Ed25519Point> k_points(2 * n);
   for (size_t i = 0; i < n; ++i) {
     auto big_b = Ed25519Point::decode(enc_bs.data() + i * 64);
     if (!big_b) throw std::runtime_error("base OT: off-curve point received");
-    const Ed25519Point k0_point = Ed25519Point::mul(*big_b, a);
-    const Ed25519Point k1_point =
-        Ed25519Point::mul(Ed25519Point::sub(*big_b, big_a), a);
-    payload[2 * i] = msgs[i].first ^ point_kdf(k0_point, i);
-    payload[2 * i + 1] = msgs[i].second ^ point_kdf(k1_point, i);
+    k_points[2 * i] = Ed25519Point::mul(*big_b, a);
+    k_points[2 * i + 1] = Ed25519Point::sub(k_points[2 * i], a_big_a);
+  }
+  std::vector<uint8_t> enc_ks(2 * n * 64);
+  Ed25519Point::encode_batch(k_points.data(), k_points.size(), enc_ks.data());
+  std::vector<Block> payload(2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    payload[2 * i] = msgs[i].first ^ point_kdf(&enc_ks[2 * i * 64], i);
+    payload[2 * i + 1] =
+        msgs[i].second ^ point_kdf(&enc_ks[(2 * i + 1) * 64], i);
   }
   if (n > 0) ch.send_blocks(payload.data(), payload.size());
 }
@@ -74,21 +85,26 @@ void base_ot_send(Channel& ch, const std::vector<std::pair<Block, Block>>& msgs,
 std::vector<Block> base_ot_recv(Channel& ch, const BitVec& choices, Prg& prg) {
   const size_t n = choices.size();
   const Ed25519Point big_a = recv_point(ch);
+  if (n == 0) return {};
 
-  std::vector<Block> keys(n);
-  std::vector<uint8_t> enc_bs(n * 64);
+  const Ed25519Table a_table(big_a);
+  std::vector<Ed25519Point> big_bs(n), k_points(n);
   for (size_t i = 0; i < n; ++i) {
     const Ed25519Scalar b = random_scalar(prg);
-    Ed25519Point big_b = Ed25519Point::base_mul(b);
-    if (choices[i]) big_b = Ed25519Point::add(big_b, big_a);
-    const auto enc = big_b.encode();
-    std::memcpy(enc_bs.data() + i * 64, enc.data(), enc.size());
-    keys[i] = point_kdf(Ed25519Point::mul(big_a, b), i);
+    const Ed25519Point b_g = Ed25519Point::base_mul(b);
+    big_bs[i] = Ed25519Point::select(b_g, Ed25519Point::add(b_g, big_a),
+                                     choices[i]);
+    k_points[i] = a_table.mul(b);
   }
-  if (n > 0) ch.send_bytes(enc_bs.data(), enc_bs.size());
+  std::vector<uint8_t> enc_bs(n * 64), enc_ks(n * 64);
+  Ed25519Point::encode_batch(big_bs.data(), n, enc_bs.data());
+  Ed25519Point::encode_batch(k_points.data(), n, enc_ks.data());
+  std::vector<Block> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = point_kdf(&enc_ks[i * 64], i);
+  ch.send_bytes(enc_bs.data(), enc_bs.size());
 
   std::vector<Block> payload(2 * n);
-  if (n > 0) ch.recv_blocks(payload.data(), payload.size());
+  ch.recv_blocks(payload.data(), payload.size());
   std::vector<Block> out(n);
   for (size_t i = 0; i < n; ++i)
     out[i] = payload[2 * i + (choices[i] ? 1 : 0)] ^ keys[i];

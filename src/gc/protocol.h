@@ -167,6 +167,9 @@ class EvaluatorSession {
                     const EvalMaterial& mat);
 
   const SessionTrace& trace() const { return trace_; }
+  /// True once this session's base-OT setup has run (trace().setup_s
+  /// holds its time from then on).
+  bool ot_ready() const { return ot_ready_; }
 
  private:
   void ensure_ot();

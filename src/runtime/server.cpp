@@ -17,6 +17,15 @@ uint64_t seconds_to_ns(double s) {
   return s <= 0 ? 0 : static_cast<uint64_t>(s * 1e9);
 }
 
+// Base-OT setup runs inside whichever call first needs OT (the first
+// on-demand infer or the first prefetch); observe it once, after that
+// call.
+void observe_ot_setup(obs::Histogram& h, const EvaluatorSession& session,
+                      bool was_ready) {
+  if (!was_ready && session.ot_ready())
+    h.observe(seconds_to_ns(session.trace().setup_s));
+}
+
 }  // namespace
 
 InferenceServer::InferenceServer(const synth::ModelSpec& spec, BitVec weights,
@@ -91,7 +100,9 @@ bool InferenceServer::handle_infer_frame(const Frame& f, BufferedChannel& ch,
   if (f.payload.empty()) {
     // On-demand: the client garbles on the request path.
     obs::Span span("server.infer_ondemand");
+    const bool ot_was_ready = session.ot_ready();
     session.run_chain(chain_, weights_);
+    observe_ot_setup(h_ot_base_, session, ot_was_ready);
     h_infer_ondemand_.observe(obs::now_ns() - t0);
   } else {
     const uint64_t id = parse_id(f);
@@ -260,7 +271,9 @@ bool InferenceServer::handle_prefetch_push(const Frame& f, BufferedChannel& ch,
       // bits — after this the request path has no OT left.
       obs::Span ot_span("server.ot_offline");
       const uint64_t ot0 = obs::now_ns();
+      const bool ot_was_ready = session.ot_ready();
       const OtPrecompReceiver pre = session.precompute_ot(weights_.size());
+      observe_ot_setup(h_ot_base_, session, ot_was_ready);
       mat.eval_labels = session.recv_labels_derandomized(pre, weights_);
       h_ot_offline_.observe(obs::now_ns() - ot0);
     }

@@ -277,6 +277,7 @@ class InferenceServer {
   obs::Histogram& h_session_wall_ = metrics_.histogram("phase.session_wall");
   obs::Histogram& h_lane_wall_ = metrics_.histogram("phase.lane_wall");
   // Sub-phases nested inside the above (informational, not summed).
+  obs::Histogram& h_ot_base_ = metrics_.histogram("subphase.ot_base");
   obs::Histogram& h_ot_offline_ = metrics_.histogram("subphase.ot_offline");
   obs::Histogram& h_ot_online_ = metrics_.histogram("subphase.ot_online");
   obs::Histogram& h_eval_ = metrics_.histogram("subphase.eval");

@@ -218,6 +218,27 @@ TEST(Prg, FillBytesMatchesBlockStream) {
   }
 }
 
+// IKNP columns are the raw keystream blocks with the bits past n zeroed;
+// the column PRG must advance by exactly ceil(n/128) blocks.
+TEST(Prg, NextBitsPackedIsKeystreamWithZeroTail) {
+  for (const size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                         size_t{127}, size_t{128}, size_t{129}, size_t{1000}}) {
+    Prg a(Block{8, 1}), b(Block{8, 1});
+    const size_t nb = (n + 127) / 128;
+    std::vector<Block> got(nb);
+    a.next_bits_packed(got.data(), n);
+    for (size_t blk = 0; blk < nb; ++blk) {
+      Block want = b.next_block();
+      for (size_t bit = 0; bit < 128; ++bit) {
+        if (128 * blk + bit < n) continue;
+        (bit < 64 ? want.lo : want.hi) &= ~(1ull << (bit % 64));
+      }
+      EXPECT_EQ(got[blk], want) << "n=" << n << " block " << blk;
+    }
+    EXPECT_EQ(a.next_block(), b.next_block()) << "n=" << n;
+  }
+}
+
 TEST(Prg, ExpandBitsMatchesBlockStream) {
   for (const size_t n : {size_t{1}, size_t{128}, size_t{16384 + 13}}) {
     Prg a(Block{6, 6}), b(Block{6, 6});

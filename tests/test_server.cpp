@@ -134,6 +134,13 @@ TEST(InferenceServerTest, StatsJsonExplainsServedSession) {
   ASSERT_NE(wall, nullptr);
   EXPECT_EQ(wall->count, 1u);
   EXPECT_GT(wall->sum, 0u);
+
+  // The one session ran OT (its on-demand infer), so base-OT setup was
+  // observed exactly once, with a nonzero time.
+  const obs::Snapshot::Hist* ot_base = snap.find_hist("subphase.ot_base");
+  ASSERT_NE(ot_base, nullptr);
+  EXPECT_EQ(ot_base->count, 1u);
+  EXPECT_GT(ot_base->sum, 0u);
 }
 
 TEST(InferenceServerTest, SustainsFourConcurrentTcpSessions) {
