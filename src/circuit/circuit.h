@@ -100,12 +100,16 @@ class Circuit {
   /// count are undetected — treat `gates` as frozen once garbling starts.
   std::shared_ptr<const std::vector<uint32_t>> gc_flush_points() const;
 
-  /// Width-scheduled view of this circuit (circuit/schedule.h): same
-  /// wires/inputs/outputs, gates permuted into the levelized
-  /// batch-window-maximizing order. Computed lazily and cached with the
-  /// same thread-safety and invalidation rules as gc_flush_points();
-  /// the returned circuit carries its own (lazily cached) flush
-  /// schedule, so repeated garblings reuse both.
+  /// Scheduled view of this circuit (circuit/schedule.h): the gates in
+  /// the levelized batch-window-maximizing order, with every wire
+  /// renumbered onto a recycled label slot (inputs, outputs and
+  /// state_next rebound alongside; num_wires is the slot count). Label
+  /// arrays for a walk of the view are indexed by its slots, so bind
+  /// and read them through the view, not through this circuit.
+  /// Computed lazily and cached with the same thread-safety and
+  /// invalidation rules as gc_flush_points(); the returned circuit
+  /// carries its own (lazily cached) flush schedule, so repeated
+  /// garblings reuse both.
   std::shared_ptr<const Circuit> gc_scheduled() const;
 
  private:

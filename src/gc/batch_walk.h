@@ -3,12 +3,15 @@
 // and capacity policy must stay in lock-step between them — this template
 // is the single place that logic lives.
 //
-// Under GcOptions::schedule both endpoints pass the circuit's
-// width-scheduled view (Circuit::gc_scheduled) here instead of the
-// construction order; the walked circuit defines the table/tweak
-// order, so the caller must hand both parties the identical view — the
-// runtime handshake's fingerprint over the scheduled netlist enforces
-// that across machines.
+// Under GcOptions::schedule both endpoints pass the circuit's scheduled
+// view (Circuit::gc_scheduled) here instead of the construction order;
+// the walked circuit defines the table/tweak order, so the caller must
+// hand both parties the identical view — the runtime handshake's
+// fingerprint over the scheduled view enforces that across machines.
+// The view's wires are recycled label slots, so a gate's output slot may
+// have held another wire before: the walk reads inputs at enqueue time
+// and a window writes its outputs when it drains, and the slot pass
+// (circuit/schedule.h) never hands a pending AND's slot to a later gate.
 #pragma once
 
 #include <cstdlib>

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "circuit/schedule.h"
 #include "crypto/prg.h"
 #include "net/channel.h"
 
@@ -21,6 +22,8 @@ class ThreadPool;
 struct HashBackend;
 
 /// Wire labels, indexed like the corresponding input/output vectors.
+/// Inside a garbling or evaluation, the label array is indexed by the
+/// walked circuit's wires: label slots under GcOptions::schedule.
 using Labels = std::vector<Block>;
 
 /// Hashing pipeline selection. kBatched accumulates AND gates into a
@@ -32,7 +35,8 @@ enum class GcPipeline : uint8_t { kBatched, kScalar };
 
 /// Max AND gates per batch window. Bounds scratch memory (the garbler
 /// hashes 4 blocks per gate) while amortizing the AES pipeline fill.
-inline constexpr size_t kGcMaxBatchWindow = 1024;
+/// The scheduler fills levels to the same width.
+inline constexpr size_t kGcMaxBatchWindow = kScheduleWindow;
 
 /// Default for GcOptions::schedule / StreamConfig::schedule: true
 /// unless the DEEPSECURE_NO_SCHEDULE environment variable is set to a
@@ -46,12 +50,14 @@ bool gc_schedule_default();
 /// the byte stream.
 struct GcOptions {
   GcPipeline pipeline = GcPipeline::kBatched;
-  /// Walk the width-scheduled gate order (circuit/schedule.h, cached on
-  /// the Circuit) instead of construction order. Reorders the garbled
-  /// tables and tweak sequence identically on both sides, so the peer
-  /// must agree; the runtime handshake's chain fingerprint covers the
-  /// scheduled netlist, catching any mismatch at session setup. Off =
-  /// the retained construction-order correctness oracle.
+  /// Walk the scheduled view (circuit/schedule.h, cached on the
+  /// Circuit) instead of construction order: the width-scheduled gate
+  /// order on recycled label slots, so the label array is sized by the
+  /// peak number of live labels, not by the wire count. Reorders the
+  /// garbled tables and tweak sequence identically on both sides, so the
+  /// peer must agree; the runtime handshake's chain fingerprint covers
+  /// the scheduled view, catching any mismatch at session setup. Off =
+  /// the retained construction-order correctness oracle, on wire ids.
   bool schedule = gc_schedule_default();
   /// Length-prefixed table frames aligned to batch windows (see
   /// block_io.h) — the streaming runtime's wire format. The framed

@@ -31,7 +31,7 @@ class Layer {
   /// Backprop: returns dL/dx, accumulates parameter gradients.
   virtual VecF backward(const VecF& dy) = 0;
   /// SGD-with-momentum update; clears accumulated gradients.
-  virtual void step(float lr, float momentum) {}
+  virtual void step(float /*lr*/, float /*momentum*/) {}
 
   virtual Shape out_shape(const Shape& in) const = 0;
   virtual size_t param_count() const { return 0; }

@@ -234,12 +234,10 @@ std::vector<Circuit> compile_model_layers(const ModelSpec& spec) {
     // binds them to carried labels (except for the very first layer,
     // where they are the client's actual data bits).
     std::vector<Bus> x(shape.flat());
-    const bool is_argmax = std::holds_alternative<ArgmaxLayer>(layer);
     const size_t bus_width = spec.fmt.total_bits;
     for (auto& bus : x) bus = input_bus(b, Party::kGarbler, bus_width);
     auto y = c.apply(shape, std::move(x), layer);
     for (const Bus& bus : y) b.outputs(bus);
-    (void)is_argmax;
     out.push_back(b.build());
     shape = layer_output_shape(shape, layer);
   }

@@ -139,7 +139,6 @@ TEST(Div, FixedPointQuotient) {
 }
 
 TEST(Div, UnsignedCore) {
-  const FixedFormat fmt{8, 0};
   Builder bld;
   const Bus x = input_bus(bld, Party::kGarbler, 8);
   const Bus y = input_bus(bld, Party::kEvaluator, 8);

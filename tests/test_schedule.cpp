@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
 #include "circuit/bench_circuits.h"
 #include "circuit/builder.h"
 #include "circuit/schedule.h"
+#include "core/benchmark_zoo.h"
 #include "gc/batch_walk.h"
 #include "gc/garble.h"
 #include "gc/material.h"
@@ -392,6 +394,213 @@ TEST(Schedule, LaneTagsSurviveSchedulingAndValidate) {
   ASSERT_EQ(r.circuit.gate_lanes.size(), r.circuit.gates.size());
   for (size_t i = 0; i < r.gate_map.size(); ++i)
     EXPECT_EQ(r.circuit.gate_lanes[i], c.gate_lanes[r.gate_map[i]]);
+}
+
+
+// Random netlist written gate by gate, past the Builder (whose CSE and
+// folding would remove them), so it carries the cases the slot pass
+// must get right: AND outputs nothing reads, gates whose two inputs are
+// one wire, outputs that are inputs or constants, and — when `folded` —
+// state inputs with state_next wires, one of them a pass-through.
+Circuit raw_random_dag(Rng& rng, int n_gates, bool folded) {
+  Circuit c;
+  c.name = folded ? "raw_folded" : "raw";
+  Wire next = 2;
+  std::vector<Wire> pool = {kConst0, kConst1};
+  auto add_input = [&](std::vector<Wire>& v) {
+    v.push_back(next);
+    pool.push_back(next++);
+  };
+  for (int i = 0; i < 6; ++i) add_input(c.garbler_inputs);
+  for (int i = 0; i < 6; ++i) add_input(c.evaluator_inputs);
+  if (folded)
+    for (int i = 0; i < 5; ++i) add_input(c.state_inputs);
+  // Mostly recent wires (deep, hazard-heavy chains), sometimes any
+  // (wide levels, long live ranges).
+  auto pick = [&]() -> Wire {
+    if (rng.next_below(3) == 0) return pool[rng.next_below(pool.size())];
+    return pool[pool.size() - 1 -
+                rng.next_below(std::min<size_t>(pool.size(), 16))];
+  };
+  for (int i = 0; i < n_gates; ++i) {
+    Gate g;
+    g.a = pick();
+    g.b = rng.next_below(8) == 0 ? g.a : pick();
+    g.op = rng.next_bool() ? GateOp::kAnd : GateOp::kXor;
+    g.out = next++;
+    c.gates.push_back(g);
+    // A quarter of the gates never enter the pool: nothing reads them.
+    if (rng.next_below(4) != 0) pool.push_back(g.out);
+  }
+  c.num_wires = next;
+  for (int o = 0; o < 10; ++o) c.outputs.push_back(pool[pool.size() - 1 - o]);
+  c.outputs.push_back(kConst0);
+  c.outputs.push_back(kConst1);
+  c.outputs.push_back(c.garbler_inputs[0]);
+  c.outputs.push_back(c.evaluator_inputs[1]);
+  c.outputs.push_back(c.outputs.front());  // read twice
+  for (size_t i = 0; i < c.state_inputs.size(); ++i)
+    c.state_next.push_back(i == 0 ? c.state_inputs[1]
+                                  : pool[rng.next_below(pool.size())]);
+  c.validate();
+  return c;
+}
+
+// Plays a recorded stream back to an Evaluator.
+class ReplayChannel : public Channel {
+ public:
+  explicit ReplayChannel(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
+  void send_bytes(const void*, size_t) override {
+    throw std::logic_error("ReplayChannel: send not supported");
+  }
+  void recv_bytes(void* data, size_t n) override {
+    if (pos_ + n > bytes_.size())
+      throw std::runtime_error("ReplayChannel: stream exhausted");
+    std::memcpy(data, bytes_.data() + pos_, n);
+    pos_ += n;
+  }
+  uint64_t bytes_sent() const override { return 0; }
+  uint64_t bytes_received() const override { return pos_; }
+  void reset_counters() override {}
+
+ private:
+  const std::vector<uint8_t>& bytes_;
+  size_t pos_ = 0;
+};
+
+// One garbling: the stream it sends and every label it hands back.
+struct GarbleRun {
+  std::vector<uint8_t> stream;
+  Block delta;
+  Labels g_zeros, e_zeros, s_zeros, out_zeros, next_zeros;
+};
+
+GarbleRun garble_run(const Circuit& c, const GcOptions& opt) {
+  RecordChannel ch;
+  Garbler g(ch, Block{11, 13}, opt);
+  GarbleRun r;
+  r.delta = g.delta();
+  r.g_zeros = g.fresh_zeros(c.garbler_inputs.size());
+  r.e_zeros = g.fresh_zeros(c.evaluator_inputs.size());
+  r.s_zeros = g.fresh_zeros(c.state_inputs.size());
+  r.out_zeros = g.garble(c, r.g_zeros, r.e_zeros, r.s_zeros, &r.next_zeros);
+  r.stream = ch.bytes;
+  return r;
+}
+
+Labels active(const Labels& zeros, const BitVec& bits, Block delta) {
+  Labels out(zeros.size());
+  for (size_t i = 0; i < zeros.size(); ++i)
+    out[i] = bits[i] ? zeros[i] ^ delta : zeros[i];
+  return out;
+}
+
+// The slot view (gc_scheduled) walks the same gate order as
+// schedule_circuit, only on recycled label slots. Garbled with either
+// pipeline, with or without a shard pool, its table stream and labels
+// must be those of the same order on wire ids, its flush points the
+// same, and its plaintext semantics the original's; a sharded evaluator
+// walking it must decode to the plaintext result.
+TEST(Schedule, SlotViewMatchesWireIdWalk) {
+  Rng rng(20261018);
+  ThreadPool pool(4);
+  for (int trial = 0; trial < 24; ++trial) {
+    const bool folded = trial % 3 == 2;
+    const Circuit c =
+        raw_random_dag(rng, 1500 + int(rng.next_below(1500)), folded);
+    const Circuit ids = schedule_circuit(c).circuit;
+    const auto view = c.gc_scheduled();
+    ASSERT_EQ(view->gates.size(), ids.gates.size());
+    for (size_t i = 0; i < ids.gates.size(); ++i)
+      ASSERT_EQ(view->gates[i].op, ids.gates[i].op) << "gate " << i;
+    EXPECT_LT(view->num_wires, c.num_wires);
+    EXPECT_EQ(*view->gc_flush_points(), *ids.gc_flush_points());
+
+    BitVec g_bits(c.garbler_inputs.size()), e_bits(c.evaluator_inputs.size()),
+        s_bits(c.state_inputs.size());
+    for (BitVec* v : {&g_bits, &e_bits, &s_bits})
+      for (auto& b : *v) b = rng.next_bool();
+    BitVec expect_next = s_bits, view_next = s_bits;
+    const BitVec expect = c.eval(g_bits, e_bits, &expect_next);
+    ASSERT_EQ(view->eval(g_bits, e_bits, &view_next), expect);
+    ASSERT_EQ(view_next, expect_next);
+
+    GcOptions oracle;
+    oracle.schedule = false;
+    oracle.pipeline = GcPipeline::kScalar;
+    const GarbleRun ref = garble_run(ids, oracle);
+
+    GcOptions scalar, batched, sharded;
+    scalar.pipeline = GcPipeline::kScalar;
+    sharded.pool = &pool;
+    sharded.min_shard_gates = 1;  // small windows still shard here
+    for (GcOptions* opt : {&scalar, &batched, &sharded}) {
+      opt->schedule = true;
+      const GarbleRun run = garble_run(c, *opt);
+      const std::string what = c.name + " trial " + std::to_string(trial) +
+                               " pipeline " +
+                               std::to_string(int(opt->pipeline)) +
+                               (opt->pool ? " pooled" : "");
+      ASSERT_EQ(run.stream, ref.stream) << what;
+      ASSERT_EQ(run.out_zeros, ref.out_zeros) << what;
+      ASSERT_EQ(run.next_zeros, ref.next_zeros) << what;
+
+      ReplayChannel replay(run.stream);
+      Evaluator e(replay, *opt);
+      Labels next_active;
+      const Labels out = e.evaluate(c, active(run.g_zeros, g_bits, run.delta),
+                                    active(run.e_zeros, e_bits, run.delta),
+                                    active(run.s_zeros, s_bits, run.delta),
+                                    &next_active);
+      ASSERT_EQ(out, active(run.out_zeros, expect, run.delta)) << what;
+      ASSERT_EQ(next_active, active(run.next_zeros, expect_next, run.delta))
+          << what;
+    }
+  }
+}
+
+// Real netlists: the slot view holds at most a quarter as many labels
+// as the netlist has wires, and the scheduled order's windows are no
+// worse than before the pass placed gates as late as possible and
+// filled partial windows. The bounds are the scheduled flush points and
+// mean window width of each netlist before that change (matvec 27 /
+// 818.2, conv 27 / 964.8, b3 FC 27 / 961.5 ANDs, rounded down); now
+// they are 27 / 1008.8, 27 / 1012.0 and 27 / 1016.9.
+TEST(Schedule, SlotViewBoundsLiveLabelsOnRealNetlists) {
+  struct Case {
+    Circuit c;
+    size_t flush_points;
+    double mean;
+  };
+  std::vector<Case> cases;
+  cases.push_back({synth::make_matvec_circuit(16, 8, kDefaultFormat), 27,
+                   818.2});
+  {
+    synth::ModelSpec spec;
+    spec.name = "conv";
+    spec.input = synth::Shape3{6, 6, 1};
+    spec.layers.push_back(synth::ConvLayer{3, 1, 2, true});
+    cases.push_back({synth::compile_model_layers(spec)[0], 27, 964.8});
+  }
+  {
+    // Benchmark 3 compact's second FC layer: 50 -> 26, pruned to 33%.
+    const synth::ModelSpec b3 = core::paper_zoo()[2].compact;
+    synth::ModelSpec spec;
+    spec.name = "b3_fc";
+    spec.input = synth::Shape3{1, 1, 50};
+    spec.layers.push_back(b3.layers[2]);
+    cases.push_back({synth::compile_model_layers(spec)[0], 27, 961.5});
+  }
+  for (const Case& k : cases) {
+    const auto view = k.c.gc_scheduled();
+    EXPECT_LE(4 * size_t{view->num_wires}, size_t{k.c.num_wires})
+        << k.c.name << ": " << view->num_wires << " slots for "
+        << k.c.num_wires << " wires";
+    const WindowStats ws = window_stats(*view, kGcMaxBatchWindow);
+    EXPECT_EQ(ws.and_gates, k.c.stats().num_and) << k.c.name;
+    EXPECT_LE(ws.flush_points, k.flush_points) << k.c.name;
+    EXPECT_GE(ws.mean, k.mean) << k.c.name;
+  }
 }
 
 }  // namespace
