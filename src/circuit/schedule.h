@@ -16,6 +16,9 @@
 //     window. Gates are placed as late as possible (ALAP): at the
 //     latest level their consumers allow, so a value is produced just
 //     before it is read and few labels are live at once.
+//   * window fill: a level's ANDs drain in kScheduleWindow-wide
+//     windows, so its last window is usually partial; it is topped up
+//     with ANDs of the next level whose inputs are already readable.
 //   * deferred free-XOR: within a level, XOR gates are emitted before
 //     the level's ANDs. An XOR consuming a previous level's AND output
 //     therefore lands exactly at the level boundary where the window
