@@ -81,10 +81,10 @@ void garble_throughput(benchmark::State& state, const Circuit& c,
   const Labels gz = warm.fresh_zeros(c.garbler_inputs.size());
   const Labels ez = warm.fresh_zeros(c.evaluator_inputs.size());
   // Compiler stages precomputed, as in the online phase: scheduled view
-  // (when enabled) and the walked order's flush points.
+  // (when enabled) and the walked order's walk plan.
   std::shared_ptr<const Circuit> sched;
   const Circuit& walked = opt.schedule ? *(sched = c.gc_scheduled()) : c;
-  (void)walked.gc_flush_points();
+  (void)walked.gc_walk_plan();
   for (auto _ : state) {
     Garbler g(ch, Block{1, 1}, opt);
     benchmark::DoNotOptimize(g.garble(c, gz, ez, {}));

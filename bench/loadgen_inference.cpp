@@ -511,10 +511,10 @@ LoadResult measure_load(const Args& args, bool pooled) {
   r.server_stats = server.stats_json();
   r.net = NetCounters::snap() - net_before;
   // Garbled-table payload per inference, mirroring the server's
-  // expected_table_bytes_ accounting (decode-bits frame + tables).
+  // expected_table_bytes_ accounting (gc_stream_bytes per layer).
   uint64_t per_infer = 0;
   for (const Circuit& c : synth::compile_model_layers(spec))
-    per_infer += 2 * sizeof(Block) + c.stats().table_bytes();
+    per_infer += gc_stream_bytes(c);
   r.table_bytes = per_infer * server.inferences_served();
 
   const size_t hc = std::thread::hardware_concurrency();

@@ -6,34 +6,61 @@
 namespace deepsecure {
 namespace {
 
-// Dependency scan behind Circuit::gc_flush_points(). Simulates the
-// batched garbling walk with an unbounded window: a gate that reads the
-// output of a still-pending AND forces a drain right before it runs.
-// Runtime capacity flushes only shrink the pending set, so this schedule
-// stays sufficient (extra flushes are harmless no-ops for correctness and
-// never change the table byte stream, which is emitted in gate order).
-std::vector<uint32_t> compute_flush_points(const Circuit& c) {
-  std::vector<uint32_t> points;
+// The kind rule of GcWalkPlan::and_kinds. `known[w]` is set while w
+// holds an evaluator input.
+AndKind and_kind(const std::vector<uint8_t>& known, const Gate& g) {
+  if (known[g.b]) return AndKind::kKnownB;
+  if (known[g.a]) return AndKind::kKnownA;
+  return AndKind::kFull;
+}
+
+std::vector<uint8_t> evaluator_input_marks(const Circuit& c) {
+  std::vector<uint8_t> known(c.num_wires, 0);
+  for (Wire w : c.evaluator_inputs) known[w] = 1;
+  return known;
+}
+
+// The scan behind Circuit::gc_walk_plan(), one forward pass.
+//
+// Flush points: simulates the batched garbling walk with an unbounded
+// window: a gate that reads the output of a still-pending AND forces a
+// drain right before it runs. Runtime capacity flushes only shrink the
+// pending set, so this schedule stays sufficient (extra flushes are
+// harmless no-ops for correctness and never change the table byte
+// stream, which is emitted in gate order).
+//
+// AND kinds: a gate reads its operands before writing its output, so
+// the kind is taken before the output clears its wire's mark.
+GcWalkPlan compute_walk_plan(const Circuit& c) {
+  GcWalkPlan p;
+  size_t ands = 0;
+  for (const Gate& g : c.gates) ands += g.op == GateOp::kAnd;
+  p.and_kinds.reserve(ands);
+  std::vector<uint8_t> known = evaluator_input_marks(c);
   std::vector<uint8_t> pending(c.num_wires, 0);
   std::vector<Wire> marked;  // wires set since the last flush point
   for (uint32_t i = 0; i < c.gates.size(); ++i) {
     const Gate& g = c.gates[i];
     if (!marked.empty() && (pending[g.a] || pending[g.b])) {
-      points.push_back(i);
+      p.flush_points.push_back(i);
       for (Wire w : marked) pending[w] = 0;
       marked.clear();
     }
     if (g.op == GateOp::kAnd) {
+      const AndKind k = and_kind(known, g);
+      p.and_kinds.push_back(k);
+      p.table_rows += k == AndKind::kFull ? 2 : 1;
       pending[g.out] = 1;
       marked.push_back(g.out);
     }
+    known[g.out] = 0;
   }
-  return points;
+  return p;
 }
 
 }  // namespace
 
-std::shared_ptr<const std::vector<uint32_t>> Circuit::gc_flush_points() const {
+std::shared_ptr<const GcWalkPlan> Circuit::gc_walk_plan() const {
   // The mutex is process-wide (Circuit must stay copyable) but is never
   // held across the O(gates) scan, so unrelated circuits initializing
   // concurrently only contend for pointer reads/writes. Concurrent first
@@ -41,17 +68,16 @@ std::shared_ptr<const std::vector<uint32_t>> Circuit::gc_flush_points() const {
   static std::mutex mu;
   {
     std::lock_guard<std::mutex> lock(mu);
-    if (gc_flush_cache_ && gc_flush_cache_gates_ == gates.size())
-      return gc_flush_cache_;
+    if (gc_plan_cache_ && gc_plan_cache_gates_ == gates.size())
+      return gc_plan_cache_;
   }
-  auto computed =
-      std::make_shared<const std::vector<uint32_t>>(compute_flush_points(*this));
+  auto computed = std::make_shared<const GcWalkPlan>(compute_walk_plan(*this));
   std::lock_guard<std::mutex> lock(mu);
-  if (!gc_flush_cache_ || gc_flush_cache_gates_ != gates.size()) {
-    gc_flush_cache_ = std::move(computed);
-    gc_flush_cache_gates_ = gates.size();
+  if (!gc_plan_cache_ || gc_plan_cache_gates_ != gates.size()) {
+    gc_plan_cache_ = std::move(computed);
+    gc_plan_cache_gates_ = gates.size();
   }
-  return gc_flush_cache_;
+  return gc_plan_cache_;
 }
 
 Circuit& Circuit::operator=(const Circuit& o) {
@@ -65,8 +91,8 @@ Circuit& Circuit::operator=(const Circuit& o) {
   state_next = o.state_next;
   outputs = o.outputs;
   num_wires = o.num_wires;
-  gc_flush_cache_.reset();  // recomputed lazily; see header
-  gc_flush_cache_gates_ = 0;
+  gc_plan_cache_.reset();  // recomputed lazily; see header
+  gc_plan_cache_gates_ = 0;
   gc_sched_cache_.reset();
   gc_sched_cache_gates_ = 0;
   return *this;
@@ -74,11 +100,15 @@ Circuit& Circuit::operator=(const Circuit& o) {
 
 CircuitStats Circuit::stats() const {
   CircuitStats s;
+  std::vector<uint8_t> known = evaluator_input_marks(*this);
   for (const Gate& g : gates) {
-    if (g.op == GateOp::kXor)
+    if (g.op == GateOp::kXor) {
       ++s.num_xor;
-    else
+    } else {
       ++s.num_and;
+      if (and_kind(known, g) != AndKind::kFull) ++s.num_and_one_row;
+    }
+    known[g.out] = 0;
   }
   s.num_wires = num_wires;
   s.num_inputs = garbler_inputs.size() + evaluator_inputs.size() +

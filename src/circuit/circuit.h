@@ -2,9 +2,10 @@
 //
 // The GC protocol requires the function to be a topologically-sorted list
 // of 2-input gates. With the free-XOR optimization the only gate classes
-// that matter are XOR (free) and AND (2 ciphertexts via half-gates); the
-// builder lowers NOT/OR/XNOR/... onto this basis. Wires 0 and 1 are the
-// public constants 0 and 1.
+// that matter are XOR (free) and AND (half-gates: 2 ciphertexts, or 1
+// when an operand is an evaluator input — see AndKind); the builder
+// lowers NOT/OR/XNOR/... onto this basis. Wires 0 and 1 are the public
+// constants 0 and 1.
 //
 // Inputs are partitioned by owner, matching the paper's roles:
 //   * garbler inputs   — the client's private data sample (Alice)
@@ -36,23 +37,53 @@ struct Gate {
   GateOp op = GateOp::kXor;
 };
 
+/// How the GC engine garbles one AND gate (gc/garble.h). The evaluator
+/// holds its own input bits in plaintext, so an AND reading an
+/// evaluator input needs only the evaluator half of a half-gate: one
+/// ciphertext instead of two. The kind is a pure function of the gate
+/// list and the evaluator-input binding, so both parties derive it.
+enum class AndKind : uint8_t {
+  kFull = 0,    // two-row half-gate
+  kKnownB = 1,  // one row: operand b is an evaluator input
+  kKnownA = 2,  // one row: operand a is an evaluator input, b is not
+};
+
 struct CircuitStats {
-  uint64_t num_xor = 0;      // free under free-XOR
-  uint64_t num_and = 0;      // non-XOR: 2 x 128-bit ciphertexts each
+  uint64_t num_xor = 0;          // free under free-XOR
+  uint64_t num_and = 0;          // non-XOR gates, both AndKinds
+  uint64_t num_and_one_row = 0;  // of which read an evaluator input: 1 row
   uint64_t num_wires = 0;
   uint64_t num_inputs = 0;
   uint64_t num_outputs = 0;
 
   uint64_t non_xor() const { return num_and; }
-  /// Bytes of garbled tables transferred (half-gates: 2 rows x 16 B).
-  uint64_t table_bytes() const { return num_and * 2 * 16; }
+  /// Garbled-table rows: 2 per two-row AND, 1 per one-row AND.
+  uint64_t table_rows() const { return 2 * num_and - num_and_one_row; }
+  /// Bytes of garbled tables transferred (16 B per row).
+  uint64_t table_bytes() const { return table_rows() * 16; }
+};
+
+/// What a GC walk of one circuit needs besides its gates, computed in
+/// one forward pass and cached on the circuit (Circuit::gc_walk_plan).
+struct GcWalkPlan {
+  /// Sorted gate indices before which a pending AND-hash window must
+  /// drain: the gate reads a wire produced by a still-pending AND.
+  std::vector<uint32_t> flush_points;
+  /// One kind per AND gate, in gate order. An operand is "known" when
+  /// its wire still holds an evaluator input: marked where an
+  /// evaluator input is bound, cleared by any gate writing the wire.
+  /// On a slot view that clearing is what keeps a recycled slot from
+  /// passing as an evaluator input.
+  std::vector<AndKind> and_kinds;
+  /// Rows in the garbled-table stream (CircuitStats::table_rows).
+  uint64_t table_rows = 0;
 };
 
 class Circuit {
  public:
   Circuit() = default;
-  // Copies do NOT inherit the flush-schedule cache: reading another
-  // circuit's mutable cache members outside gc_flush_points()'s lock
+  // Copies do NOT inherit the walk-plan cache: reading another
+  // circuit's mutable cache members outside gc_walk_plan()'s lock
   // would race with a concurrent garbler warming that cache. The copy
   // recomputes lazily on first batched garbling. Moves transfer it
   // (moving an object in concurrent use is already a caller bug).
@@ -90,15 +121,13 @@ class Circuit {
   /// reference out-of-range wires, or inputs alias each other.
   void validate() const;
 
-  /// Flush schedule for the batched garbling pipeline: the sorted gate
-  /// indices before which a pending AND-hash window must be drained
-  /// because that gate reads a wire produced by a still-pending AND.
-  /// Computed lazily from `gates` and cached (thread-safe), so repeated
-  /// garblings of the same netlist — the online phase — skip the
-  /// dependency scan. A gate-count change (e.g. appending gates after a
+  /// Walk plan for the GC engine (flush schedule and AND kinds, see
+  /// GcWalkPlan). Computed lazily from `gates` and cached (thread-safe),
+  /// so repeated garblings of the same netlist — the online phase —
+  /// skip the scan. A gate-count change (e.g. appending gates after a
   /// garbling) invalidates the cache, but in-place edits that keep the
   /// count are undetected — treat `gates` as frozen once garbling starts.
-  std::shared_ptr<const std::vector<uint32_t>> gc_flush_points() const;
+  std::shared_ptr<const GcWalkPlan> gc_walk_plan() const;
 
   /// Scheduled view of this circuit (circuit/schedule.h): the gates in
   /// the levelized batch-window-maximizing order, with every wire
@@ -107,14 +136,14 @@ class Circuit {
   /// arrays for a walk of the view are indexed by its slots, so bind
   /// and read them through the view, not through this circuit.
   /// Computed lazily and cached with the same thread-safety and
-  /// invalidation rules as gc_flush_points(); the returned circuit
-  /// carries its own (lazily cached) flush schedule, so repeated
-  /// garblings reuse both.
+  /// invalidation rules as gc_walk_plan(); the returned circuit
+  /// carries its own (lazily cached) walk plan, so repeated garblings
+  /// reuse both.
   std::shared_ptr<const Circuit> gc_scheduled() const;
 
  private:
-  mutable std::shared_ptr<const std::vector<uint32_t>> gc_flush_cache_;
-  mutable size_t gc_flush_cache_gates_ = 0;
+  mutable std::shared_ptr<const GcWalkPlan> gc_plan_cache_;
+  mutable size_t gc_plan_cache_gates_ = 0;
   mutable std::shared_ptr<const Circuit> gc_sched_cache_;
   mutable size_t gc_sched_cache_gates_ = 0;
 };

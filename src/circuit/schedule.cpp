@@ -247,7 +247,7 @@ Circuit allocate_label_slots(const Circuit& c,
 }
 
 std::shared_ptr<const Circuit> Circuit::gc_scheduled() const {
-  // Unlike gc_flush_points() (cheap scan, lock never held across it),
+  // Unlike gc_walk_plan() (cheap scan, lock never held across it),
   // the scheduling pass is expensive enough that two concurrent first
   // callers on the SAME circuit — garbler and evaluator threads of an
   // in-process two-party run — should not both pay it. The mutex is
@@ -266,12 +266,12 @@ std::shared_ptr<const Circuit> Circuit::gc_scheduled() const {
 }
 
 WindowStats window_stats(const Circuit& c, size_t capacity) {
-  const auto flush_points = c.gc_flush_points();
-  const uint32_t* fp = flush_points->data();
-  const uint32_t* fp_end = fp + flush_points->size();
+  const auto plan = c.gc_walk_plan();
+  const uint32_t* fp = plan->flush_points.data();
+  const uint32_t* fp_end = fp + plan->flush_points.size();
 
   WindowStats s;
-  s.flush_points = flush_points->size();
+  s.flush_points = plan->flush_points.size();
   std::vector<size_t> widths;
   size_t window = 0;
   auto drain = [&]() {

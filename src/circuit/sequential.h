@@ -21,6 +21,7 @@ struct SequentialSpec {
     CircuitStats s = step.stats();
     s.num_xor *= cycles;
     s.num_and *= cycles;
+    s.num_and_one_row *= cycles;
     return s;
   }
 };

@@ -101,6 +101,7 @@ SecureInferenceResult run_protocol(const std::vector<Circuit>& chain,
   for (const Circuit& c : chain) {
     const auto s = c.stats();
     res.gates += synth::GateCount{s.num_xor, s.num_and};
+    res.table_bytes += s.table_bytes();
   }
 
   BitVec client_out, server_out;

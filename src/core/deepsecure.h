@@ -41,6 +41,7 @@ struct SecureInferenceResult {
   size_t label = 0;
   uint64_t client_to_server_bytes = 0;
   uint64_t server_to_client_bytes = 0;
+  uint64_t table_bytes = 0;  // garbled-table rows, CircuitStats::table_bytes
   double wall_seconds = 0.0;
   SessionTrace garbler_trace;
   SessionTrace evaluator_trace;

@@ -57,18 +57,16 @@ Block gc_hash2(Block x, Block y, uint64_t tweak);
 void gc_hash_batch(const Block* inputs, const uint64_t* tweaks, Block* out,
                    size_t n);
 
-/// Garbler-side batch helper for half-gates AND windows. For gate i with
-/// input zero-labels a0[i], b0[i] and tweaks tweaks[2i] (generator half),
-/// tweaks[2i+1] (evaluator half), writes the four hashes the half-gates
-/// construction consumes:
-///   out[4i+0] = H(a0[i],         tweaks[2i])
-///   out[4i+1] = H(a0[i] ^ delta, tweaks[2i])
-///   out[4i+2] = H(b0[i],         tweaks[2i+1])
-///   out[4i+3] = H(b0[i] ^ delta, tweaks[2i+1])
-/// The ^delta halves reuse 2(X^delta) = 2X ^ 2delta, so only 2n doublings
-/// are computed for the 4n hash inputs.
-void gc_hash_and_quads(const Block* a0, const Block* b0, Block delta,
-                       const uint64_t* tweaks, Block* out, size_t n);
+/// Garbler-side batch helper for half-gates AND windows: hashes both
+/// labels of n wires. For zero-label x0[i] and tweak tweaks[i]:
+///   out[2i]   = H(x0[i],         tweaks[i])
+///   out[2i+1] = H(x0[i] ^ delta, tweaks[i])
+/// A two-row AND is two pairs (a0 under its first tweak, b0 under its
+/// second), a one-row AND one pair (its evaluator-input operand). The
+/// ^delta half reuses 2(X^delta) = 2X ^ 2delta, so only n doublings are
+/// computed for the 2n hash inputs.
+void gc_hash_pairs(const Block* x0, Block delta, const uint64_t* tweaks,
+                   Block* out, size_t n);
 
 namespace detail {
 // Backend entry points (exposed for cross-checking in tests; production

@@ -12,11 +12,16 @@
 // have held another wire before: the walk reads inputs at enqueue time
 // and a window writes its outputs when it drains, and the slot pass
 // (circuit/schedule.h) never hands a pending AND's slot to a later gate.
+// Each AND's kind (one or two table rows) comes from the walked view's
+// own plan (Circuit::gc_walk_plan), whose forward pass sees a slot
+// recycled away from an evaluator input; a walk-time lookup of "is this
+// slot an evaluator input" could not.
 #pragma once
 
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <utility>
 
 #include "circuit/circuit.h"
 #include "gc/garble.h"
@@ -48,85 +53,125 @@ inline WindowLineMem window_line_alloc(size_t bytes) {
 }
 }  // namespace detail
 
-/// Garbler-side staging line: per gate, the two input zero-labels, two
-/// tweaks, four hashes (gc_hash_and_quads output), two table rows, and
-/// the output wire. Segment order puts the 16-byte Block segments
-/// first, so every segment is cache-line aligned for any power-of-two
-/// capacity >= 4.
+/// Garbler-side staging line. A window's gates expand to hash pairs in
+/// gate order — two per two-row AND (a0, then b0), one per one-row AND
+/// (b0, its evaluator-input operand) — and table row k belongs to pair
+/// k. Per pair: the zero-label, its tweak, two hashes (gc_hash_pairs
+/// output) and one row; a one-row gate parks its other operand's
+/// zero-label a0 in its row until the drain computes the row. Per gate:
+/// the first pair index (first[size] is the pair count, so a gate's
+/// pair count gives its kind) and the output slot. Segment order puts
+/// the 16-byte Block segments first, so every segment up to `outs` is
+/// cache-line aligned for any power-of-two capacity >= 4.
 struct GarbleWindowLine {
   explicit GarbleWindowLine(size_t cap) : capacity(cap) {
     static_assert(sizeof(Block) == 16);
-    const size_t bytes = cap * (9 * sizeof(Block) + 2 * sizeof(uint64_t) +
-                                sizeof(Wire));
+    const size_t bytes = cap * (8 * sizeof(Block) + 2 * sizeof(uint64_t) +
+                                sizeof(Wire) + sizeof(uint32_t)) +
+                         sizeof(uint32_t);
     mem_ = detail::window_line_alloc(bytes);
     auto* base = static_cast<uint8_t*>(mem_.get());
-    a0 = reinterpret_cast<Block*>(base);
-    b0 = a0 + cap;
-    hashes = b0 + cap;        // 4 per gate
-    tabs = hashes + 4 * cap;  // 2 per gate
+    x0 = reinterpret_cast<Block*>(base);  // 2 per gate
+    hashes = x0 + 2 * cap;                // 4 per gate
+    tabs = hashes + 4 * cap;              // 2 per gate
     tweaks = reinterpret_cast<uint64_t*>(tabs + 2 * cap);  // 2 per gate
     outs = reinterpret_cast<Wire*>(tweaks + 2 * cap);
+    first = reinterpret_cast<uint32_t*>(outs + cap);  // cap + 1
+    first[0] = 0;
   }
 
-  Block* a0;
-  Block* b0;
+  Block* x0;
   Block* hashes;
   Block* tabs;
   uint64_t* tweaks;
   Wire* outs;
-  size_t size = 0;
+  uint32_t* first;
+  size_t size = 0;  // gates; first[size] is the pair count
   const size_t capacity;
 
  private:
   detail::WindowLineMem mem_;
 };
 
-/// Evaluator-side staging line: two active input labels, two tweaks,
-/// two table rows, two hashes, one output wire per gate.
+/// Evaluator-side staging line, laid out like the garbler's: per row
+/// (two per two-row AND, one per one-row AND, gate order) the hash
+/// input label, its tweak, the hash, and the term the row adds to the
+/// gate's output besides its hash (the table row as selected at enqueue
+/// time, see evaluator.cpp); per gate the first row index and the
+/// output slot.
 struct EvalWindowLine {
   explicit EvalWindowLine(size_t cap) : capacity(cap) {
     static_assert(sizeof(Block) == 16);
     const size_t bytes = cap * (6 * sizeof(Block) + 2 * sizeof(uint64_t) +
-                                sizeof(Wire));
+                                sizeof(Wire) + sizeof(uint32_t)) +
+                         sizeof(uint32_t);
     mem_ = detail::window_line_alloc(bytes);
     auto* base = static_cast<uint8_t*>(mem_.get());
     ins = reinterpret_cast<Block*>(base);  // 2 per gate
-    tabs = ins + 2 * cap;                  // 2 per gate
-    hashes = tabs + 2 * cap;               // 2 per gate
+    terms = ins + 2 * cap;                 // 2 per gate
+    hashes = terms + 2 * cap;              // 2 per gate
     tweaks = reinterpret_cast<uint64_t*>(hashes + 2 * cap);  // 2 per gate
     outs = reinterpret_cast<Wire*>(tweaks + 2 * cap);
+    first = reinterpret_cast<uint32_t*>(outs + cap);  // cap + 1
+    first[0] = 0;
   }
 
   Block* ins;
-  Block* tabs;
+  Block* terms;
   Block* hashes;
   uint64_t* tweaks;
   Wire* outs;
-  size_t size = 0;
+  uint32_t* first;
+  size_t size = 0;  // gates; first[size] is the row count
   const size_t capacity;
 
  private:
   detail::WindowLineMem mem_;
 };
 
+/// `g` with its operands ordered for garbling: a one-row AND's
+/// evaluator-input operand is always `b` (AndKind::kKnownA swaps).
+inline Gate gc_oriented(Gate g, AndKind kind) {
+  if (kind == AndKind::kKnownA) std::swap(g.a, g.b);
+  return g;
+}
+
+/// Walk `c.gates` in order without batching (the scalar pipelines):
+/// `on_xor(g)` per XOR, `on_and(g, one_row)` per AND with `g` oriented
+/// by its kind from the circuit's walk plan.
+template <typename XorFn, typename AndFn>
+void gc_walk(const Circuit& c, XorFn&& on_xor, AndFn&& on_and) {
+  const auto plan = c.gc_walk_plan();
+  const AndKind* kind = plan->and_kinds.data();
+  for (const Gate& g : c.gates) {
+    if (g.op == GateOp::kXor) {
+      on_xor(g);
+      continue;
+    }
+    const AndKind k = *kind++;
+    on_and(gc_oriented(g, k), k != AndKind::kFull);
+  }
+}
+
 /// Walk `c.gates` in order. XOR gates invoke `on_xor(g)` immediately
-/// (free-XOR). AND gates invoke `on_and(g)` to enqueue into the pending
-/// window; `flush(bool level_boundary)` drains it — called at the
-/// circuit's precomputed dependency flush points and after the last
-/// gate (level_boundary = true: a real barrier in the gate order, under
-/// the width scheduler an AND-level boundary), and at
-/// `kGcMaxBatchWindow` pending gates (level_boundary = false: a
-/// capacity drain mid-level). The distinction only matters to consumers
-/// that align a downstream unit to levels — table frame sizing — and
-/// never changes which gates drain when, so both endpoints stay in
-/// lock-step regardless of how they use it. `flush(...)` must be a
-/// no-op on an empty window.
+/// (free-XOR). AND gates invoke `on_and(g, one_row)` (oriented as in
+/// gc_walk) to enqueue into the pending window; `flush(bool
+/// level_boundary)` drains it — called at the circuit's precomputed
+/// dependency flush points and after the last gate (level_boundary =
+/// true: a real barrier in the gate order, under the width scheduler an
+/// AND-level boundary), and at `kGcMaxBatchWindow` pending gates
+/// (level_boundary = false: a capacity drain mid-level). The
+/// distinction only matters to consumers that align a downstream unit
+/// to levels — table frame sizing — and never changes which gates drain
+/// when, so both endpoints stay in lock-step regardless of how they use
+/// it. `flush(...)` must be a no-op on an empty window.
 template <typename XorFn, typename AndFn, typename FlushFn>
 void gc_batched_walk(const Circuit& c, XorFn&& on_xor, AndFn&& on_and,
                      FlushFn&& flush) {
-  const auto flush_points = c.gc_flush_points();
-  const uint32_t* fp = flush_points->data();
-  const uint32_t* fp_end = fp + flush_points->size();
+  const auto plan = c.gc_walk_plan();
+  const uint32_t* fp = plan->flush_points.data();
+  const uint32_t* fp_end = fp + plan->flush_points.size();
+  const AndKind* kind = plan->and_kinds.data();
 
   size_t window = 0;
   for (uint32_t i = 0; i < static_cast<uint32_t>(c.gates.size()); ++i) {
@@ -140,7 +185,8 @@ void gc_batched_walk(const Circuit& c, XorFn&& on_xor, AndFn&& on_and,
       on_xor(g);
       continue;
     }
-    on_and(g);
+    const AndKind k = *kind++;
+    on_and(gc_oriented(g, k), k != AndKind::kFull);
     if (++window == kGcMaxBatchWindow) {
       flush(/*level_boundary=*/false);
       window = 0;

@@ -1,5 +1,5 @@
 // Buffered streaming of 128-bit blocks over a Channel. Garbled tables
-// dominate traffic (two blocks per AND gate); per-block channel calls
+// dominate traffic (one or two blocks per AND gate); per-block channel calls
 // would serialize on the channel mutex, so both sides batch through a
 // fixed-size local buffer with an identical, deterministic flush policy.
 //

@@ -28,6 +28,17 @@ Labels Evaluator::evaluate(const Circuit& c, const Labels& garbler_labels,
   w[kConst0] = ch_.recv_block();
   w[kConst1] = ch_.recv_block();
 
+  // The evaluator-input permute bits, kept per label slot: a one-row
+  // AND reads its operand b's slot while that slot still holds the
+  // evaluator input (the walk plan's kind pass guarantees it), so the
+  // other slots' entries are never read and need no reset.
+  std::vector<Block> perm(gc_permute_blocks(evaluator_labels.size()));
+  if (!perm.empty()) ch_.recv_bytes(perm.data(), perm.size() * sizeof(Block));
+  if (r_.size() < walk.num_wires) r_.resize(walk.num_wires);
+  for (size_t i = 0; i < evaluator_labels.size(); ++i)
+    r_[walk.evaluator_inputs[i]] =
+        (gc_permute_word(perm.data(), i) >> (i % 64)) & 1;
+
   for (size_t i = 0; i < garbler_labels.size(); ++i)
     w[walk.garbler_inputs[i]] = garbler_labels[i];
   for (size_t i = 0; i < evaluator_labels.size(); ++i)
@@ -38,7 +49,7 @@ Labels Evaluator::evaluate(const Circuit& c, const Labels& garbler_labels,
   // Framed mode self-describes (length-prefixed window frames), so the
   // reader needs no total; monolithic mode must know the stream length.
   BlockReader tables(ch_, 1 << 15, opt_.framed_tables);
-  if (!opt_.framed_tables) tables.expect(2 * c.stats().num_and);
+  if (!opt_.framed_tables) tables.expect(walk.gc_walk_plan()->table_rows);
   if (opt_.pipeline == GcPipeline::kScalar)
     evaluate_gates_scalar(walk, w, tables);
   else
@@ -58,30 +69,38 @@ Labels Evaluator::evaluate(const Circuit& c, const Labels& garbler_labels,
 // Retained scalar reference path (see garbler.cpp for rationale).
 void Evaluator::evaluate_gates_scalar(const Circuit& c, Labels& w,
                                       BlockReader& tables) {
-  for (const Gate& g : c.gates) {
-    if (g.op == GateOp::kXor) {
-      w[g.out] = w[g.a] ^ w[g.b];
-      continue;
-    }
-    const Block wa = w[g.a];
-    const Block wb = w[g.b];
-    const uint64_t j0 = tweak_++;
-    const uint64_t j1 = tweak_++;
-    const Block tg = tables.get();
-    const Block te = tables.get();
-
-    Block wgc = gc_hash(wa, j0);
-    if (wa.lsb()) wgc ^= tg;
-    Block wec = gc_hash(wb, j1);
-    if (wb.lsb()) wec ^= te ^ wa;
-    w[g.out] = wgc ^ wec;
-  }
+  gc_walk(
+      c, [&](const Gate& g) { w[g.out] = w[g.a] ^ w[g.b]; },
+      [&](const Gate& g, bool one_row) {
+        const Block wa = w[g.a];
+        const Block wb = w[g.b];
+        const uint64_t j0 = tweak_++;
+        const uint64_t j1 = tweak_++;
+        Block wgc{};
+        if (one_row) {
+          if (r_[g.b]) wgc = wa;
+        } else {
+          const Block tg = tables.get();
+          wgc = gc_hash(wa, j0);
+          if (wa.lsb()) wgc ^= tg;
+        }
+        const Block te = tables.get();
+        Block wec = gc_hash(wb, j1);
+        if (wb.lsb()) wec ^= te ^ wa;
+        w[g.out] = wgc ^ wec;
+      });
 }
 
 // Batched pipeline, mirroring Garbler::garble_gates_batched: the same
 // flush schedule applies because both sides defer exactly the AND gates.
-// Two hashes per gate; table rows are consumed at enqueue time, which
-// keeps the read stream in gate order regardless of flush timing.
+// One hash per table row (two per two-row gate, one per one-row gate);
+// table rows are consumed at enqueue time, which keeps the read stream
+// in gate order regardless of flush timing.
+//
+// Every gate's output is the XOR over its rows of the row's hash and a
+// term the enqueue selects, so the drain is one loop for both kinds:
+// two-row, H(W_a) ^ lsb(W_a)·tg and H(W_b) ^ lsb(W_b)·(te ^ W_a);
+// one-row, H(W_b) ^ lsb(W_b)·(te ^ W_a) ^ r·W_a.
 //
 // With a ThreadPool, a draining window splits into contiguous per-shard
 // slices exactly like the garbler's: tweaks were assigned and table
@@ -100,15 +119,14 @@ void Evaluator::evaluate_gates_batched(const Circuit& c, Labels& w,
     const size_t n = line.size;
     if (n == 0) return;
     auto shard = [&](size_t lo, size_t hi) {
-      gc_hash_batch(be, line.ins + 2 * lo, line.tweaks + 2 * lo,
-                    line.hashes + 2 * lo, 2 * (hi - lo));
+      const uint32_t p0 = line.first[lo];
+      gc_hash_batch(be, line.ins + p0, line.tweaks + p0, line.hashes + p0,
+                    line.first[hi] - p0);
       for (size_t i = lo; i < hi; ++i) {
-        const Block wa = line.ins[2 * i];
-        Block wgc = line.hashes[2 * i];
-        if (wa.lsb()) wgc ^= line.tabs[2 * i];
-        Block wec = line.hashes[2 * i + 1];
-        if (line.ins[2 * i + 1].lsb()) wec ^= line.tabs[2 * i + 1] ^ wa;
-        w[line.outs[i]] = wgc ^ wec;  // disjoint slots across shards
+        Block out{};
+        for (uint32_t k = line.first[i]; k < line.first[i + 1]; ++k)
+          out ^= line.hashes[k] ^ line.terms[k];
+        w[line.outs[i]] = out;  // disjoint slots across shards
       }
     };
     if (opt_.pool != nullptr)
@@ -121,14 +139,26 @@ void Evaluator::evaluate_gates_batched(const Circuit& c, Labels& w,
   gc_batched_walk(
       c,
       [&](const Gate& g) { w[g.out] = w[g.a] ^ w[g.b]; },  // free-XOR
-      [&](const Gate& g) {
+      [&](const Gate& g, bool one_row) {
         const size_t i = line.size++;
-        line.ins[2 * i] = w[g.a];
-        line.ins[2 * i + 1] = w[g.b];
-        line.tweaks[2 * i] = tweak_++;
-        line.tweaks[2 * i + 1] = tweak_++;
-        line.tabs[2 * i] = tables.get();
-        line.tabs[2 * i + 1] = tables.get();
+        uint32_t p = line.first[i];
+        const Block wa = w[g.a];
+        const Block wb = w[g.b];
+        const uint64_t j0 = tweak_++;
+        const uint64_t j1 = tweak_++;
+        if (!one_row) {
+          const Block tg = tables.get();
+          line.ins[p] = wa;
+          line.tweaks[p] = j0;
+          line.terms[p++] = wa.lsb() ? tg : Block{};
+        }
+        const Block te = tables.get();
+        Block term = wb.lsb() ? te ^ wa : Block{};
+        if (one_row && r_[g.b]) term ^= wa;
+        line.ins[p] = wb;
+        line.tweaks[p] = j1;
+        line.terms[p++] = term;
+        line.first[i + 1] = p;
         line.outs[i] = g.out;
       },
       flush);

@@ -1,10 +1,23 @@
 // Garbling engine: free-XOR (Kolesnikov-Schneider), half-gates
-// (Zahur-Rosulek-Evans, 2 ciphertexts per AND), point-and-permute, and
-// fixed-key AES hashing (Bellare et al.) — the optimization stack from
-// Section 2.3 of the paper. Row-reduction is subsumed by half-gates.
+// (Zahur-Rosulek-Evans), point-and-permute, and fixed-key AES hashing
+// (Bellare et al.) — the optimization stack from Section 2.3 of the
+// paper. Row-reduction is subsumed by half-gates.
 //
 // Labels are 128-bit blocks; the wire's "zero" label W0 encodes FALSE,
 // W1 = W0 ^ delta encodes TRUE, lsb(delta) = 1 (permute bit).
+//
+// AND gates come in two kinds (AndKind, circuit/circuit.h), fixed by
+// the walked circuit's plan so both parties agree:
+//   * two-row: a standard half-gate, a garbler half (row tg) and an
+//     evaluator half (row te) — 2 ciphertexts, 4 garbler hashes and 2
+//     evaluator hashes.
+//   * one-row: operand b is an evaluator input (the server's weight
+//     bits), whose permute bit r = lsb(W_b^0) the evaluator learns. The
+//     garbler half, a AND r, is then the free term r·W_a, so only the
+//     row te travels — 1 ciphertext, 2 garbler hashes, 1 evaluator hash.
+// Each garble() streams the two constant labels, then the evaluator
+// inputs' permute bits (bit i of the packed blocks is input i's r, see
+// gc_permute_blocks), then the table rows in gate order.
 #pragma once
 
 #include <vector>
@@ -34,7 +47,8 @@ using Labels = std::vector<Block>;
 enum class GcPipeline : uint8_t { kBatched, kScalar };
 
 /// Max AND gates per batch window. Bounds scratch memory (the garbler
-/// hashes 4 blocks per gate) while amortizing the AES pipeline fill.
+/// hashes up to 4 blocks per gate) while amortizing the AES pipeline
+/// fill.
 /// The scheduler fills levels to the same width.
 inline constexpr size_t kGcMaxBatchWindow = kScheduleWindow;
 
@@ -43,6 +57,22 @@ inline constexpr size_t kGcMaxBatchWindow = kScheduleWindow;
 /// non-empty value other than "0" — the escape hatch CI uses to run the
 /// whole suite on the unscheduled oracle path. Read once per process.
 bool gc_schedule_default();
+
+/// Blocks carrying `n_eval` evaluator-input permute bits: 128 per
+/// block, bit i at bit i % 64 of the lo (i % 128 < 64) or hi word of
+/// block i / 128 (gc_permute_word).
+inline size_t gc_permute_blocks(size_t n_eval) { return (n_eval + 127) / 128; }
+
+/// The word of packed permute-bit blocks that holds bit i % 64 for
+/// evaluator input i.
+inline uint64_t& gc_permute_word(Block* blocks, size_t i) {
+  return (i & 64) ? blocks[i / 128].hi : blocks[i / 128].lo;
+}
+
+/// Bytes one monolithic Garbler::garble of `c` sends: the two constant
+/// labels, the permute-bit blocks and the table rows. Equal under
+/// either walk order.
+uint64_t gc_stream_bytes(const Circuit& c);
 
 /// Execution options for one GC endpoint. Both parties must agree on
 /// `framed_tables` and `schedule` (they change the wire format/stream
@@ -113,6 +143,7 @@ class Garbler {
   /// can open the outputs itself.
   void send_decode_info(const Labels& output_zeros);
 
+  /// AND gates garbled so far, either kind (each takes two tweaks).
   uint64_t gates_garbled() const { return tweak_ / 2; }
 
  private:
@@ -154,6 +185,10 @@ class Evaluator {
   Channel& ch_;
   GcOptions opt_;
   uint64_t tweak_ = 0;
+  // Per label slot, the permute bit of the evaluator input bound there
+  // in the current evaluate() (read only by one-row ANDs). Kept across
+  // calls so each evaluation reuses one buffer.
+  std::vector<uint8_t> r_;
 };
 
 }  // namespace deepsecure

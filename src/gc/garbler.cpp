@@ -10,6 +10,47 @@
 #include "support/thread_pool.h"
 
 namespace deepsecure {
+namespace {
+
+// Two-row half-gate (Zahur-Rosulek-Evans). ha0/ha1 = H(a0), H(a0^delta)
+// under the gate's first tweak, hb0/hb1 = H(b0), H(b0^delta) under its
+// second. Writes the garbler-half row tg and the evaluator-half row te;
+// returns the output zero-label.
+Block garble_two_row(Block a0, Block b0, Block ha0, Block ha1, Block hb0,
+                     Block hb1, Block delta, Block* tg_row, Block* te_row) {
+  Block tg = ha0 ^ ha1;
+  if (b0.lsb()) tg ^= delta;
+  Block wg = ha0;
+  if (a0.lsb()) wg ^= tg;
+
+  const Block te = hb0 ^ hb1 ^ a0;
+  Block we = hb0;
+  if (b0.lsb()) we ^= te ^ a0;
+
+  *tg_row = tg;
+  *te_row = te;
+  return wg ^ we;
+}
+
+// One-row half-gate: b is an evaluator input, so its permute bit
+// r = lsb(b0) is known to the evaluator. The evaluator half is the
+// two-row gate's; the garbler half, a AND r, becomes the free term
+// r·W_a.
+Block garble_one_row(Block a0, Block b0, Block hb0, Block hb1,
+                     Block* te_row) {
+  const Block te = hb0 ^ hb1 ^ a0;
+  Block we = hb0;
+  if (b0.lsb()) we ^= te ^ a0;
+  *te_row = te;
+  return b0.lsb() ? we ^ a0 : we;
+}
+
+}  // namespace
+
+uint64_t gc_stream_bytes(const Circuit& c) {
+  return (2 + gc_permute_blocks(c.evaluator_inputs.size())) * sizeof(Block) +
+         c.stats().table_bytes();
+}
 
 bool gc_schedule_default() {
   static const bool enabled = [] {
@@ -59,6 +100,15 @@ Labels Garbler::garble(const Circuit& c, const Labels& garbler_zeros,
   ch_.send_block(w[kConst0]);
   ch_.send_block(w[kConst1] ^ delta_);
 
+  // The one-row ANDs' permute bits r = lsb(W_b^0), packed (garble.h).
+  // They tell the evaluator nothing new: it holds W_b and b, and
+  // r = lsb(W_b) ^ b.
+  std::vector<Block> perm(gc_permute_blocks(evaluator_zeros.size()));
+  for (size_t i = 0; i < evaluator_zeros.size(); ++i)
+    gc_permute_word(perm.data(), i) |= uint64_t{evaluator_zeros[i].lsb()}
+                                       << (i % 64);
+  if (!perm.empty()) ch_.send_bytes(perm.data(), perm.size() * sizeof(Block));
+
   for (size_t i = 0; i < garbler_zeros.size(); ++i)
     w[walk.garbler_inputs[i]] = garbler_zeros[i];
   for (size_t i = 0; i < evaluator_zeros.size(); ++i)
@@ -89,54 +139,44 @@ Labels Garbler::garble(const Circuit& c, const Labels& garbler_zeros,
 // baseline in the garble-throughput benchmarks.
 void Garbler::garble_gates_scalar(const Circuit& c, Labels& w,
                                   BlockWriter& tables) {
-  for (const Gate& g : c.gates) {
-    if (g.op == GateOp::kXor) {
-      w[g.out] = w[g.a] ^ w[g.b];  // free-XOR
-      continue;
-    }
-    // Half-gates AND.
-    const Block a0 = w[g.a];
-    const Block b0 = w[g.b];
-    const bool pa = a0.lsb();
-    const bool pb = b0.lsb();
-    const uint64_t j0 = tweak_++;
-    const uint64_t j1 = tweak_++;
-
-    const Block ha0 = gc_hash(a0, j0);
-    const Block ha1 = gc_hash(a0 ^ delta_, j0);
-    const Block hb0 = gc_hash(b0, j1);
-    const Block hb1 = gc_hash(b0 ^ delta_, j1);
-
-    Block tg = ha0 ^ ha1;
-    if (pb) tg ^= delta_;
-    Block wg = ha0;
-    if (pa) wg ^= tg;
-
-    const Block te = hb0 ^ hb1 ^ a0;
-    Block we = hb0;
-    if (pb) we ^= te ^ a0;
-
-    tables.put(tg);
-    tables.put(te);
-    w[g.out] = wg ^ we;
-  }
+  gc_walk(
+      c, [&](const Gate& g) { w[g.out] = w[g.a] ^ w[g.b]; },  // free-XOR
+      [&](const Gate& g, bool one_row) {
+        const Block a0 = w[g.a];
+        const Block b0 = w[g.b];
+        const uint64_t j0 = tweak_++;
+        const uint64_t j1 = tweak_++;
+        const Block hb0 = gc_hash(b0, j1);
+        const Block hb1 = gc_hash(b0 ^ delta_, j1);
+        Block tg, te;
+        if (one_row) {
+          w[g.out] = garble_one_row(a0, b0, hb0, hb1, &te);
+        } else {
+          w[g.out] = garble_two_row(a0, b0, gc_hash(a0, j0),
+                                    gc_hash(a0 ^ delta_, j0), hb0, hb1,
+                                    delta_, &tg, &te);
+          tables.put(tg);
+        }
+        tables.put(te);
+      });
 }
 
-// Batched pipeline: AND gates are enqueued into a window whose hash
-// inputs {a0, a0^delta, b0, b0^delta} are expanded and hashed by
-// gc_hash_and_quads in one pipelined AES sweep. The window drains at the
-// circuit's precomputed flush points (a gate reading a still-pending AND
-// output), at capacity, and at the end of the gate list. Tweaks are
-// assigned at enqueue time and tables are emitted in enqueue (= gate)
-// order, so the byte stream is identical to the scalar schedule.
+// Batched pipeline: AND gates are enqueued into a window as hash pairs
+// {x0, x0^delta} — a0 and b0 for a two-row gate, b0 alone for a one-row
+// gate — and the window's pairs are hashed by gc_hash_pairs in one
+// pipelined AES sweep. The window drains at the circuit's precomputed
+// flush points (a gate reading a still-pending AND output), at capacity,
+// and at the end of the gate list. Tweaks are assigned at enqueue time
+// and tables are emitted in enqueue (= gate) order, so the byte stream
+// is identical to the scalar schedule.
 //
 // With a ThreadPool, a draining window is split into contiguous
 // per-thread shards — independent sub-windows of the same flush
 // schedule, since every gate in the window reads only non-pending wires.
-// Each shard runs its own gc_hash_and_quads sweep over its slice of the
-// enqueue-ordered arrays into disjoint slices of the scratch buffers;
-// table rows still stream out serially in enqueue order afterwards, so
-// the transcript stays byte-identical to single-threaded garbling.
+// Each shard runs its own gc_hash_pairs sweep over its gates' pairs into
+// disjoint slices of the scratch buffers; table rows still stream out
+// serially in enqueue order afterwards, so the transcript stays
+// byte-identical to single-threaded garbling.
 void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
                                    BlockWriter& tables) {
   const HashBackend& be =
@@ -155,34 +195,27 @@ void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
       return;
     }
     auto shard = [&](size_t lo, size_t hi) {
-      gc_hash_and_quads(be, line.a0 + lo, line.b0 + lo, delta_,
-                        line.tweaks + 2 * lo, line.hashes + 4 * lo, hi - lo);
+      const uint32_t p0 = line.first[lo];
+      gc_hash_pairs(be, line.x0 + p0, delta_, line.tweaks + p0,
+                    line.hashes + 2 * p0, line.first[hi] - p0);
       for (size_t i = lo; i < hi; ++i) {
-        const Block a0 = line.a0[i];
-        const Block ha0 = line.hashes[4 * i + 0];
-        const Block ha1 = line.hashes[4 * i + 1];
-        const Block hb0 = line.hashes[4 * i + 2];
-        const Block hb1 = line.hashes[4 * i + 3];
-
-        Block tg = ha0 ^ ha1;
-        if (line.b0[i].lsb()) tg ^= delta_;
-        Block wg = ha0;
-        if (a0.lsb()) wg ^= tg;
-
-        const Block te = hb0 ^ hb1 ^ a0;
-        Block we = hb0;
-        if (line.b0[i].lsb()) we ^= te ^ a0;
-
-        line.tabs[2 * i] = tg;
-        line.tabs[2 * i + 1] = te;
-        w[line.outs[i]] = wg ^ we;  // disjoint slots across shards
+        const uint32_t p = line.first[i];
+        const Block* h = line.hashes + 2 * p;
+        const Block out =
+            line.first[i + 1] - p == 1
+                ? garble_one_row(line.tabs[p], line.x0[p], h[0], h[1],
+                                 &line.tabs[p])
+                : garble_two_row(line.x0[p], line.x0[p + 1], h[0], h[1],
+                                 h[2], h[3], delta_, &line.tabs[p],
+                                 &line.tabs[p + 1]);
+        w[line.outs[i]] = out;  // disjoint slots across shards
       }
     };
     if (opt_.pool != nullptr)
       opt_.pool->parallel_shards(n, opt_.min_shard_gates, shard);
     else
       shard(0, n);
-    for (size_t i = 0; i < 2 * n; ++i) tables.put(line.tabs[i]);
+    for (uint32_t k = 0; k < line.first[n]; ++k) tables.put(line.tabs[k]);
     // Frames cut only at level boundaries: a capacity drain mid-level
     // keeps buffering so wide scheduled levels ship as one frame.
     tables.mark_window(level_boundary);
@@ -192,12 +225,20 @@ void Garbler::garble_gates_batched(const Circuit& c, Labels& w,
   gc_batched_walk(
       c,
       [&](const Gate& g) { w[g.out] = w[g.a] ^ w[g.b]; },  // free-XOR
-      [&](const Gate& g) {
+      [&](const Gate& g, bool one_row) {
         const size_t i = line.size++;
-        line.a0[i] = w[g.a];
-        line.b0[i] = w[g.b];
-        line.tweaks[2 * i] = tweak_++;
-        line.tweaks[2 * i + 1] = tweak_++;
+        uint32_t p = line.first[i];
+        const uint64_t j0 = tweak_++;
+        const uint64_t j1 = tweak_++;
+        if (one_row) {
+          line.tabs[p] = w[g.a];  // a0, until the drain writes the row
+        } else {
+          line.x0[p] = w[g.a];
+          line.tweaks[p++] = j0;
+        }
+        line.x0[p] = w[g.b];
+        line.tweaks[p++] = j1;
+        line.first[i + 1] = p;
         line.outs[i] = g.out;
       },
       flush);

@@ -81,6 +81,9 @@ uint64_t chain_fingerprint(const std::vector<Circuit>& chain,
       mix((uint64_t(g.a) << 32) ^ g.b ^ (uint64_t(g.out) << 16) ^
           (uint64_t(static_cast<uint8_t>(g.op)) << 62));
     for (Wire wire : c.outputs) mix(wire);
+    // Which slots hold evaluator inputs fixes every AND's kind, and so
+    // the table stream's row count and order.
+    for (Wire wire : c.evaluator_inputs) mix(wire);
   }
   return h;
 }

@@ -59,7 +59,12 @@ inline constexpr uint64_t kProtocolMagic = 0x44535255'4e313031ull;  // "DSRUN101
 // self-healing client can tell "overloaded, retry" from "you are
 // speaking the wrong protocol, give up". Malformed input now earns a
 // coded kError before teardown rather than a raw disconnect.
-inline constexpr uint32_t kProtocolVersion = 6;
+// v7: one-row ANDs — an AND with an evaluator-input operand ships one
+// table row instead of two, and each garbled circuit's stream carries
+// the evaluator inputs' permute bits after the constant labels
+// (gc/garble.h). A v6 peer would misread the table stream, so it is
+// refused at hello.
+inline constexpr uint32_t kProtocolVersion = 7;
 
 enum class FrameType : uint8_t {
   kHello = 1,     // client -> server: magic, version, fingerprint, flags

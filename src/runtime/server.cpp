@@ -45,7 +45,7 @@ InferenceServer::InferenceServer(const synth::ModelSpec& spec, BitVec weights,
   size_t want = 0;
   for (const Circuit& c : chain_) {
     want += c.evaluator_inputs.size();
-    expected_table_bytes_ += 2 * sizeof(Block) + c.stats().table_bytes();
+    expected_table_bytes_ += gc_stream_bytes(c);
   }
   if (weights_.size() != want)
     throw std::invalid_argument("InferenceServer: weight bit count mismatch");

@@ -14,8 +14,8 @@
 //
 // Concurrent sessions are capped at `max_sessions` (excess clients
 // queue in the listen backlog instead of being dropped) and share the
-// compiled chain read-only; the per-circuit flush-point cache is
-// thread-safe (see Circuit::gc_flush_points).
+// compiled chain read-only; the per-circuit walk-plan cache is
+// thread-safe (see Circuit::gc_walk_plan).
 //
 // Async prefetch lane (protocol v4): a SECOND listener accepts
 // dedicated prefetch connections. The hello ack hands each session an
@@ -225,8 +225,8 @@ class InferenceServer {
   ServerConfig cfg_;
   uint64_t fingerprint_ = 0;
   // Exact size of a well-formed artifact's table stream for chain_
-  // (consts + half-gate tables per circuit): prefetches that disagree
-  // are rejected at push time, not at kInfer time.
+  // (gc_stream_bytes per circuit): prefetches that disagree are
+  // rejected at push time, not at kInfer time.
   uint64_t expected_table_bytes_ = 0;
 
   TcpListener listener_;

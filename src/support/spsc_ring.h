@@ -30,17 +30,16 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <utility>
 #include <vector>
 
 namespace deepsecure {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr size_t kCacheLine = std::hardware_destructive_interference_size;
-#else
+// Fixed rather than std::hardware_destructive_interference_size: that
+// constant may differ between compilers and -mtune settings, so GCC
+// warns on every use in a header (-Winterference-size), and 64 bytes
+// is the line size of every x86-64 and mainstream ARM core.
 inline constexpr size_t kCacheLine = 64;
-#endif
 
 template <typename T>
 class SpscRing {

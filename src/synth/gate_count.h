@@ -27,8 +27,6 @@ struct GateCount {
     a += b;
     return a;
   }
-  /// Garbled-table bytes (half-gates: 2 x 16 B per non-XOR gate).
-  uint64_t comm_bytes() const { return num_non_xor * 32; }
 };
 
 GateCount count_circuit(const Circuit& c);

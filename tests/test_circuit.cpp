@@ -88,7 +88,17 @@ TEST(Circuit, StatsCountGateClasses) {
   const auto s = c.stats();
   EXPECT_EQ(s.num_and, 1u);
   EXPECT_EQ(s.num_xor, 2u);
-  EXPECT_EQ(s.table_bytes(), 32u);
+  // The AND reads the evaluator input y: one 16-byte row.
+  EXPECT_EQ(s.num_and_one_row, 1u);
+  EXPECT_EQ(s.table_bytes(), 16u);
+
+  Builder b2;
+  const Wire p = b2.input(Party::kGarbler);
+  const Wire q = b2.input(Party::kGarbler);
+  b2.output(b2.or_(p, q));  // no evaluator operand: two rows
+  const auto s2 = b2.build().stats();
+  EXPECT_EQ(s2.num_and_one_row, 0u);
+  EXPECT_EQ(s2.table_bytes(), 32u);
 }
 
 TEST(Circuit, ValidateRejectsUnordered) {

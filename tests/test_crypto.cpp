@@ -124,29 +124,24 @@ TEST(GcHash, BatchSupportsInPlaceAliasing) {
     ASSERT_EQ(buf[i], gc_hash(in[i], tweaks[i])) << "i=" << i;
 }
 
-TEST(GcHash, AndQuadsMatchScalarHashes) {
+TEST(GcHash, PairsMatchScalarHashes) {
   for (const bool soft : {false, true}) {
     SCOPED_TRACE(soft ? "software" : "runtime-default");
     std::optional<ForceSoftwareGuard> guard;
     if (soft) guard.emplace();
     Prg prg(Block{77, 99});
-    const size_t n = 41;  // exercises chunk boundary + tail
+    const size_t n = 83;  // exercises chunk boundary + tail
     Block delta = prg.next_block();
     delta.lo |= 1;
-    std::vector<Block> a0(n), b0(n);
-    prg.next_blocks(a0.data(), n);
-    prg.next_blocks(b0.data(), n);
-    std::vector<uint64_t> tweaks(2 * n);
-    for (size_t i = 0; i < 2 * n; ++i) tweaks[i] = 5000 + i;
-    std::vector<Block> out(4 * n);
-    gc_hash_and_quads(a0.data(), b0.data(), delta, tweaks.data(), out.data(),
-                      n);
+    std::vector<Block> x0(n);
+    prg.next_blocks(x0.data(), n);
+    std::vector<uint64_t> tweaks(n);
+    for (size_t i = 0; i < n; ++i) tweaks[i] = 5000 + i;
+    std::vector<Block> out(2 * n);
+    gc_hash_pairs(x0.data(), delta, tweaks.data(), out.data(), n);
     for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[4 * i + 0], gc_hash(a0[i], tweaks[2 * i])) << i;
-      ASSERT_EQ(out[4 * i + 1], gc_hash(a0[i] ^ delta, tweaks[2 * i])) << i;
-      ASSERT_EQ(out[4 * i + 2], gc_hash(b0[i], tweaks[2 * i + 1])) << i;
-      ASSERT_EQ(out[4 * i + 3], gc_hash(b0[i] ^ delta, tweaks[2 * i + 1]))
-          << i;
+      ASSERT_EQ(out[2 * i + 0], gc_hash(x0[i], tweaks[i])) << i;
+      ASSERT_EQ(out[2 * i + 1], gc_hash(x0[i] ^ delta, tweaks[i])) << i;
     }
   }
 }

@@ -190,7 +190,7 @@ TEST(Garble, DecodeInfoPathAgrees) {
   EXPECT_EQ(evaluator_view, (BitVec{1, 0}));
 }
 
-TEST(Garble, CommunicationIsTwoBlocksPerAnd) {
+TEST(Garble, CommunicationMatchesGateKinds) {
   Builder b;
   const Wire x = b.input(Party::kGarbler);
   const Wire y = b.input(Party::kEvaluator);
@@ -199,6 +199,8 @@ TEST(Garble, CommunicationIsTwoBlocksPerAnd) {
   b.output(acc);
   const Circuit c = b.build();
   const uint64_t n_and = c.stats().num_and;
+  // Only the first AND reads the evaluator input y directly.
+  ASSERT_EQ(c.stats().num_and_one_row, 1u);
 
   const auto stats = run_two_party(
       [&](Channel& ch) {
@@ -218,8 +220,11 @@ TEST(Garble, CommunicationIsTwoBlocksPerAnd) {
         const Labels out = e.evaluate(c, gl, el, {});
         e.send_outputs(out);
       });
-  // garbler -> evaluator: 2 consts + 2 input labels + 2 blocks per AND.
-  EXPECT_EQ(stats.a_to_b_bytes, (4 + 2 * n_and) * 16);
+  // garbler -> evaluator: 2 input labels, then the garbled stream: 2
+  // consts, 1 permute-bit block, 1 row for the one-row AND and 2 for
+  // each other AND.
+  EXPECT_EQ(stats.a_to_b_bytes, (2 + 2 + 1 + 1 + 2 * (n_and - 1)) * 16);
+  EXPECT_EQ(stats.a_to_b_bytes, 2 * 16 + gc_stream_bytes(c));
 }
 
 }  // namespace

@@ -84,13 +84,13 @@ TEST(GarbleBatch, AndChainForcesFlushEveryGate) {
   const Circuit c = bench_circuits::and_chain(64);
   // Every AND after the first reads a pending AND output (via the XOR),
   // so the schedule must contain a flush point per chained gate.
-  EXPECT_GE(c.gc_flush_points()->size(), 63u);
+  EXPECT_GE(c.gc_walk_plan()->flush_points.size(), 63u);
   expect_pipelines_identical(c, Block{11, 22});
 }
 
 TEST(GarbleBatch, WideCircuitHasNoDependencyFlushes) {
   const Circuit c = bench_circuits::wide_and(3 * kGcMaxBatchWindow + 17);
-  EXPECT_TRUE(c.gc_flush_points()->empty());
+  EXPECT_TRUE(c.gc_walk_plan()->flush_points.empty());
   // Exercises capacity flushes (> 3 windows) and the non-multiple tail.
   expect_pipelines_identical(c, Block{33, 44});
 }
@@ -164,9 +164,9 @@ TEST(GarbleBatch, CrossPipelineTwoPartyAgreesWithPlaintext) {
 
 TEST(GarbleBatch, FlushScheduleIsCachedAcrossCalls) {
   const Circuit c = bench_circuits::and_chain(8);
-  const auto first = c.gc_flush_points();
-  const auto second = c.gc_flush_points();
-  EXPECT_EQ(first.get(), second.get());  // same cached vector
+  const auto first = c.gc_walk_plan();
+  const auto second = c.gc_walk_plan();
+  EXPECT_EQ(first.get(), second.get());  // same cached plan
 }
 
 }  // namespace

@@ -110,25 +110,21 @@ TEST(HashBackend, GcHashBatchMatchesScalarHash) {
   }
 }
 
-TEST(HashBackend, GcHashQuadsMatchScalarHash) {
-  const size_t n = 201;
-  const auto a0 = random_blocks(n, 0x111);
-  const auto b0 = random_blocks(n, 0x222);
+TEST(HashBackend, GcHashPairsMatchScalarHash) {
+  const size_t n = 401;
+  const auto x0 = random_blocks(n, 0x111);
   Block delta{0x3333, 0x4444};
   delta.lo |= 1;
-  std::vector<uint64_t> tweaks(2 * n);
+  std::vector<uint64_t> tweaks(n);
   for (size_t i = 0; i < tweaks.size(); ++i) tweaks[i] = 10 + i;
   for (const HashBackend* be : compiled_hash_backends()) {
     if (!be->available()) continue;
     SCOPED_TRACE(be->name);
-    std::vector<Block> out(4 * n);
-    gc_hash_and_quads(*be, a0.data(), b0.data(), delta, tweaks.data(),
-                      out.data(), n);
+    std::vector<Block> out(2 * n);
+    gc_hash_pairs(*be, x0.data(), delta, tweaks.data(), out.data(), n);
     for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[4 * i + 0], gc_hash(a0[i], tweaks[2 * i]));
-      ASSERT_EQ(out[4 * i + 1], gc_hash(a0[i] ^ delta, tweaks[2 * i]));
-      ASSERT_EQ(out[4 * i + 2], gc_hash(b0[i], tweaks[2 * i + 1]));
-      ASSERT_EQ(out[4 * i + 3], gc_hash(b0[i] ^ delta, tweaks[2 * i + 1]));
+      ASSERT_EQ(out[2 * i + 0], gc_hash(x0[i], tweaks[i]));
+      ASSERT_EQ(out[2 * i + 1], gc_hash(x0[i] ^ delta, tweaks[i]));
     }
   }
 }

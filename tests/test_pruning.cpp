@@ -37,8 +37,11 @@ TEST(Pruning, ReachesTargetSparsityAndKeepsAccuracy) {
   // Masks installed on every dense layer.
   for (auto* d : net.dense_layers()) {
     ASSERT_FALSE(d->mask.empty());
-    for (size_t i = 0; i < d->mask.size(); ++i)
-      if (!d->mask[i]) EXPECT_EQ(d->weights()[i], 0.0f);
+    for (size_t i = 0; i < d->mask.size(); ++i) {
+      if (!d->mask[i]) {
+        EXPECT_EQ(d->weights()[i], 0.0f);
+      }
+    }
   }
 }
 
@@ -58,9 +61,13 @@ TEST(Pruning, MaskSurvivesFurtherTraining) {
   prune_and_retrain(net, ds, pc);
 
   nn::train(net, ds, tc);  // extra training must not resurrect weights
-  for (auto* d : net.dense_layers())
-    for (size_t i = 0; i < d->mask.size(); ++i)
-      if (!d->mask[i]) EXPECT_EQ(d->weights()[i], 0.0f);
+  for (auto* d : net.dense_layers()) {
+    for (size_t i = 0; i < d->mask.size(); ++i) {
+      if (!d->mask[i]) {
+        EXPECT_EQ(d->weights()[i], 0.0f);
+      }
+    }
+  }
 }
 
 TEST(Pruning, RandomMaskPopulationExact) {

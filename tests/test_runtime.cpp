@@ -54,14 +54,21 @@ std::vector<uint8_t> garble_stream(const Circuit& c, Block seed,
   return ch.bytes;
 }
 
-// Strip the [u32 len] frame headers from a framed garbling stream. The
-// first 32 bytes are the constant labels (sent raw ahead of the table
-// stream); everything after is length-prefixed frames.
-std::vector<uint8_t> deframe(const std::vector<uint8_t>& stream) {
-  constexpr size_t kConsts = 32;
-  if (stream.size() < kConsts) throw std::runtime_error("stream too short");
-  std::vector<uint8_t> out(stream.begin(), stream.begin() + kConsts);
-  size_t at = kConsts;
+// Bytes a garbling of `c` sends raw ahead of its table frames: the two
+// constant labels and the evaluator-input permute-bit blocks.
+size_t raw_prefix(const Circuit& c) {
+  return (2 + gc_permute_blocks(c.evaluator_inputs.size())) * sizeof(Block);
+}
+
+// Strip the [u32 len] frame headers from a framed garbling stream of
+// `c`: the raw prefix, then length-prefixed frames.
+std::vector<uint8_t> deframe(const Circuit& c,
+                             const std::vector<uint8_t>& stream) {
+  const size_t prefix = raw_prefix(c);
+  if (stream.size() < prefix) throw std::runtime_error("stream too short");
+  std::vector<uint8_t> out(stream.begin(),
+                           stream.begin() + static_cast<ptrdiff_t>(prefix));
+  size_t at = prefix;
   while (at < stream.size()) {
     if (at + 4 > stream.size()) throw std::runtime_error("truncated header");
     uint32_t len = 0;
@@ -150,7 +157,7 @@ TEST(RuntimeStream, FramesReassembleByteIdenticalSingleThread) {
         bench_circuits::and_chain(64)}) {
     const auto plain = garble_stream(c, Block{7, 8}, mono);
     const auto stream = garble_stream(c, Block{7, 8}, framed);
-    EXPECT_EQ(deframe(stream), plain) << c.name;
+    EXPECT_EQ(deframe(c, stream), plain) << c.name;
     EXPECT_GT(stream.size(), plain.size());  // headers really exist
   }
 }
@@ -167,7 +174,7 @@ TEST(RuntimeStream, WideLevelShipsAsOneFrame) {
   const auto stream = garble_stream(c, Block{3, 9}, framed);
 
   size_t frames = 0;
-  size_t at = 32;  // constant labels travel raw ahead of the frames
+  size_t at = raw_prefix(c);  // sent raw ahead of the frames
   while (at < stream.size()) {
     ASSERT_LE(at + 4, stream.size());
     uint32_t len = 0;
@@ -177,7 +184,7 @@ TEST(RuntimeStream, WideLevelShipsAsOneFrame) {
   }
   ASSERT_EQ(at, stream.size());
   EXPECT_EQ(frames, 1u);  // four windows, one level, one frame
-  EXPECT_EQ(deframe(stream), garble_stream(c, Block{3, 9}, GcOptions{}));
+  EXPECT_EQ(deframe(c, stream), garble_stream(c, Block{3, 9}, GcOptions{}));
 }
 
 // Regression: a level whose AND count is an EXACT multiple of the
@@ -208,7 +215,7 @@ TEST(RuntimeStream, ExactMultipleLevelStillCutsFrameAtBoundary) {
   framed.framed_tables = true;
   const auto stream = garble_stream(c, Block{6, 6}, framed);
   size_t frames = 0;
-  size_t at = 32;
+  size_t at = raw_prefix(c);
   while (at < stream.size()) {
     ASSERT_LE(at + 4, stream.size());
     uint32_t len = 0;
@@ -220,7 +227,7 @@ TEST(RuntimeStream, ExactMultipleLevelStillCutsFrameAtBoundary) {
   // One frame for level 1 (cut at its boundary), one for level 2's
   // small remainder (shipped by the end-of-circuit flush).
   EXPECT_EQ(frames, 2u);
-  EXPECT_EQ(deframe(stream), garble_stream(c, Block{6, 6}, GcOptions{}));
+  EXPECT_EQ(deframe(c, stream), garble_stream(c, Block{6, 6}, GcOptions{}));
 }
 
 TEST(RuntimeStream, FramesReassembleByteIdenticalMultiThread) {
@@ -234,7 +241,7 @@ TEST(RuntimeStream, FramesReassembleByteIdenticalMultiThread) {
   for (int trial = 0; trial < 5; ++trial) {
     const Circuit c = random_mixed_circuit(rng, 600);
     const Block seed{rng.next_u64(), rng.next_u64()};
-    EXPECT_EQ(deframe(garble_stream(c, seed, framed_mt)),
+    EXPECT_EQ(deframe(c, garble_stream(c, seed, framed_mt)),
               garble_stream(c, seed, mono))
         << "trial " << trial;
   }

@@ -154,7 +154,7 @@ TEST(Schedule, XorConsumersNoLongerForceFlushes) {
     wire_level[g.out] = lvl + (g.op == GateOp::kAnd ? 1 : 0);
     depth = std::max(depth, wire_level[g.out]);
   }
-  EXPECT_LE(sched->gc_flush_points()->size(), depth);
+  EXPECT_LE(sched->gc_walk_plan()->flush_points.size(), depth);
 }
 
 // Record the constant-labels + table stream of one garbling.
@@ -342,7 +342,7 @@ TEST(Schedule, WindowStatsMatchesRealBatchedWalk) {
       size_t pending = 0;
       gc_batched_walk(
           c, [](const Gate&) {},
-          [&](const Gate&) { ++pending; },
+          [&](const Gate&, bool) { ++pending; },
           [&](bool /*level_boundary*/) {
             if (pending > 0) walked_widths.push_back(pending);
             pending = 0;
@@ -498,9 +498,9 @@ Labels active(const Labels& zeros, const BitVec& bits, Block delta) {
 // The slot view (gc_scheduled) walks the same gate order as
 // schedule_circuit, only on recycled label slots. Garbled with either
 // pipeline, with or without a shard pool, its table stream and labels
-// must be those of the same order on wire ids, its flush points the
-// same, and its plaintext semantics the original's; a sharded evaluator
-// walking it must decode to the plaintext result.
+// must be those of the same order on wire ids, its flush points and
+// AND kinds the same, and its plaintext semantics the original's; a
+// sharded evaluator walking it must decode to the plaintext result.
 TEST(Schedule, SlotViewMatchesWireIdWalk) {
   Rng rng(20261018);
   ThreadPool pool(4);
@@ -514,7 +514,10 @@ TEST(Schedule, SlotViewMatchesWireIdWalk) {
     for (size_t i = 0; i < ids.gates.size(); ++i)
       ASSERT_EQ(view->gates[i].op, ids.gates[i].op) << "gate " << i;
     EXPECT_LT(view->num_wires, c.num_wires);
-    EXPECT_EQ(*view->gc_flush_points(), *ids.gc_flush_points());
+    EXPECT_EQ(view->gc_walk_plan()->flush_points,
+              ids.gc_walk_plan()->flush_points);
+    EXPECT_EQ(view->gc_walk_plan()->and_kinds,
+              ids.gc_walk_plan()->and_kinds);
 
     BitVec g_bits(c.garbler_inputs.size()), e_bits(c.evaluator_inputs.size()),
         s_bits(c.state_inputs.size());

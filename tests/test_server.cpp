@@ -227,6 +227,32 @@ TEST(InferenceServerTest, RejectsSchedulingMismatch) {
   EXPECT_EQ(server.sessions_rejected(), 1u);
 }
 
+// A v6 peer expects two table rows for every AND and no permute bits:
+// it must be refused at hello, before any table stream flows.
+TEST(InferenceServerTest, RejectsProtocolV6Hello) {
+  const synth::ModelSpec spec = small_spec();
+  const auto chain = synth::compile_model_layers(spec);
+  Rng rng(71);
+  runtime::InferenceServer server(spec, random_weights(spec, rng));
+  server.start();
+
+  ASSERT_EQ(runtime::kProtocolVersion, 7u);
+  TcpChannel raw = TcpChannel::connect("127.0.0.1", server.port());
+  runtime::Hello hello;
+  hello.version = 6;
+  hello.fingerprint = runtime::chain_fingerprint(chain, gc_schedule_default());
+  runtime::send_hello(raw, hello);
+  EXPECT_THROW(
+      try { runtime::recv_frame(raw); } catch (const std::exception& e) {
+        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+            << e.what();
+        throw;
+      },
+      std::runtime_error);
+  server.stop();
+  EXPECT_EQ(server.sessions_rejected(), 1u);
+}
+
 // Global prefetch byte budget (shared across sessions): with room for
 // exactly one artifact, a second session's push is rejected even though
 // its per-session quota is untouched; consuming/closing releases the
@@ -236,12 +262,13 @@ TEST(InferenceServerTest, GlobalPrefetchByteBudgetSharedAcrossSessions) {
   Rng rng(67);
   const BitVec weights = random_weights(spec, rng);
 
-  // One artifact's table stream: constants + half-gate tables per layer
-  // (same arithmetic as the server's push-time size check).
+  // One artifact's table stream: constants, permute bits and half-gate
+  // tables per layer (the server's push-time size check uses the same
+  // helper).
   const auto chain = synth::compile_model_layers(spec);
   uint64_t artifact_bytes = 0;
   for (const Circuit& c : chain)
-    artifact_bytes += 2 * sizeof(Block) + c.stats().table_bytes();
+    artifact_bytes += gc_stream_bytes(c);
 
   runtime::ServerConfig scfg;
   scfg.max_prefetch = 4;  // per-session quota is NOT the limiter here

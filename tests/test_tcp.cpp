@@ -16,15 +16,6 @@ using test::pack_fixed;
 using test::random_fixed;
 
 TEST(TcpChannel, ByteRoundTrip) {
-  uint16_t port = 0;
-  std::unique_ptr<TcpChannel> server;
-  std::thread accept_thread([&] {
-    // listen_and_accept fills the port before blocking in accept, but we
-    // still need the client to start after bind; use port handshake via
-    // promise-free retry on the client side.
-  });
-  accept_thread.join();
-
   // Start server and client concurrently; connect() retries until the
   // listener is up.
   uint16_t chosen = 0;
