@@ -151,6 +151,32 @@ void BM_GarbleModelLayer(benchmark::State& state) {
 BENCHMARK(BM_GarbleModelLayer)->Arg(0)->Arg(1)->ArgNames({"scheduled"})
     ->Unit(benchmark::kMillisecond);
 
+// Compile speed of the same model: benchmark 3 compact's layer L0 (FC
+// 308 -> 50, the bulk of the model's 10.7M gates) or L2, each on its
+// own, through Builder lowering, folding and structural hashing.
+void BM_CompileModelLayer(benchmark::State& state) {
+  const synth::ModelSpec b3 = core::paper_zoo()[2].compact;
+  const auto layer = static_cast<size_t>(state.range(0));
+  synth::ModelSpec spec;
+  spec.name = "b3_L" + std::to_string(layer);
+  spec.input = b3.input;
+  for (size_t i = 0; i < layer; ++i)
+    spec.input = synth::layer_output_shape(spec.input, b3.layers[i]);
+  spec.layers.push_back(b3.layers[layer]);
+  size_t gates = 0;
+  for (auto _ : state) {
+    const std::vector<Circuit> chain = synth::compile_model_layers(spec);
+    benchmark::DoNotOptimize(chain.data());
+    gates = chain.front().gates.size();
+  }
+  state.counters["gates"] = static_cast<double>(gates);
+  state.counters["gates/s"] = benchmark::Counter(
+      static_cast<double>(gates) * state.iterations(),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CompileModelLayer)->Arg(0)->Arg(2)->ArgNames({"layer"})
+    ->Unit(benchmark::kMillisecond);
+
 // Batch-width histogram per netlist: mean/p50/p95/max AND gates per
 // drained window, construction order vs scheduled. The timed body is
 // the window_stats scan itself; the counters are the metric.

@@ -9,8 +9,6 @@
 // instead of a commercial tool (see DESIGN.md substitution #1).
 #pragma once
 
-#include <unordered_map>
-
 #include "circuit/circuit.h"
 
 namespace deepsecure {
@@ -65,6 +63,8 @@ class Builder {
  private:
   Wire new_wire();
   Wire emit(GateOp op, Wire a, Wire b);
+  Wire push_gate(GateOp op, Wire a, Wire b);
+  void grow_cse();
 
   Circuit c_;
   bool cse_;
@@ -72,7 +72,11 @@ class Builder {
   bool lanes_used_ = false;
   uint64_t and_count_ = 0;
   uint64_t xor_count_ = 0;
-  std::unordered_map<uint64_t, Wire> cse_map_;
+  // Structural-hashing table (src/circuit/README.md): open addressing
+  // with linear probing over a power-of-two slot array. A slot holds a
+  // gate index + 1 into c_.gates (0 = empty); the key (a, b, op) is
+  // re-read from that gate, so a slot costs 4 bytes.
+  std::vector<uint32_t> cse_slots_;
 };
 
 }  // namespace deepsecure

@@ -10,7 +10,7 @@
 namespace deepsecure::cost {
 
 struct Calibration {
-  double non_xor_gates_per_s = 0.0;  // garble+eval pipeline throughput
+  double non_xor_gates_per_s = 0.0;  // garble+eval pipeline, best pass
   double xor_gates_per_s = 0.0;
   double ns_per_non_xor = 0.0;       // garbler-side cost
   double ns_per_xor = 0.0;

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+
 #include "circuit/builder.h"
 #include "circuit/netlist_io.h"
 #include "circuit/sequential.h"
+#include "core/benchmark_zoo.h"
+#include "gc/material.h"
+#include "support/rng.h"
+#include "synth/layer_circuits.h"
 
 namespace deepsecure {
 namespace {
@@ -77,6 +84,166 @@ TEST(Builder, StructuralHashingDedupes) {
   const Wire x2 = b.xor_(x, y);
   EXPECT_EQ(x1, x2);
   EXPECT_EQ(b.xor_count(), 1u);
+}
+
+// Reference for the Builder's structural hashing: the same folding,
+// canonicalization and lane rules over an ordered map, one node per
+// gate. The Builder must emit exactly what this emits.
+class RefBuilder {
+ public:
+  explicit RefBuilder(bool cse) : cse_(cse) {}
+
+  Wire input(Party p) {
+    const Wire w = c_.num_wires++;
+    (p == Party::kGarbler ? c_.garbler_inputs : c_.evaluator_inputs)
+        .push_back(w);
+    return w;
+  }
+  void set_lane(uint32_t lane) {
+    if (!lanes_used_) c_.gate_lanes.assign(c_.gates.size(), 0);
+    lanes_used_ = true;
+    lane_ = lane;
+  }
+  Wire xor_(Wire a, Wire b) { return emit(GateOp::kXor, a, b); }
+  Wire and_(Wire a, Wire b) { return emit(GateOp::kAnd, a, b); }
+  Wire not_(Wire a) { return xor_(a, kConst1); }
+  Wire or_(Wire a, Wire b) { return xor_(xor_(a, b), and_(a, b)); }
+  Wire mux(Wire s, Wire t, Wire f) {
+    return t == f ? t : xor_(f, and_(s, xor_(t, f)));
+  }
+  const Circuit& circuit() const { return c_; }
+
+ private:
+  Wire emit(GateOp op, Wire a, Wire b) {
+    if (a > b) std::swap(a, b);
+    if (op == GateOp::kXor) {
+      if (a == b) return kConst0;
+      if (a == kConst0) return b;
+    } else {
+      if (a == b) return a;
+      if (a == kConst0) return kConst0;
+      if (a == kConst1) return b;
+    }
+    const auto key = std::make_tuple(a, b, op);
+    if (cse_) {
+      if (auto it = map_.find(key); it != map_.end()) return it->second;
+    }
+    const Wire out = c_.num_wires++;
+    c_.gates.push_back(Gate{a, b, out, op});
+    if (lanes_used_) c_.gate_lanes.push_back(lane_);
+    if (cse_) map_.emplace(key, out);
+    return out;
+  }
+
+  bool cse_;
+  Circuit c_;
+  uint32_t lane_ = 0;
+  bool lanes_used_ = false;
+  std::map<std::tuple<Wire, Wire, GateOp>, Wire> map_;
+};
+
+// Drives one seeded random op stream through the Builder and the
+// reference: xor/and/or/mux/not over inputs, constants and earlier
+// results, with replayed and commuted operand pairs (CSE hits) and lane
+// switches. Long enough to grow the CSE table many times.
+void expect_matches_reference(uint64_t seed, bool cse, size_t ops) {
+  Rng rng(seed);
+  Builder b("oracle", cse);
+  RefBuilder ref(cse);
+  std::vector<Wire> pool = {kConst0, kConst1};
+  std::vector<std::pair<Wire, Wire>> recent;
+  const auto pick = [&] {
+    // Mostly recent wires, so replayed pairs share structure.
+    const size_t n = pool.size();
+    const size_t window = std::min<size_t>(n, 64);
+    return rng.next_below(4) == 0 ? pool[rng.next_below(n)]
+                                  : pool[n - 1 - rng.next_below(window)];
+  };
+  for (size_t i = 0; i < ops; ++i) {
+    Wire x = pick(), y = pick();
+    if (!recent.empty() && rng.next_below(3) == 0) {
+      std::tie(x, y) = recent[rng.next_below(recent.size())];
+      if (rng.next_bool()) std::swap(x, y);  // commuted replay
+    }
+    Wire got = 0, want = 0;
+    switch (rng.next_below(8)) {
+      case 0: {
+        const Party p = rng.next_bool() ? Party::kGarbler : Party::kEvaluator;
+        got = b.input(p);
+        want = ref.input(p);
+        break;
+      }
+      case 1: {
+        const auto lane = static_cast<uint32_t>(rng.next_below(16));
+        b.set_lane(lane);
+        ref.set_lane(lane);
+        continue;
+      }
+      case 2: got = b.xor_(x, y); want = ref.xor_(x, y); break;
+      case 3: got = b.and_(x, y); want = ref.and_(x, y); break;
+      case 4: got = b.or_(x, y); want = ref.or_(x, y); break;
+      case 5: got = b.not_(x); want = ref.not_(x); break;
+      default: {
+        const Wire s = pick();
+        got = b.mux(s, x, y);
+        want = ref.mux(s, x, y);
+        break;
+      }
+    }
+    ASSERT_EQ(got, want) << "op " << i;
+    pool.push_back(got);
+    if (recent.size() < 256)
+      recent.emplace_back(x, y);
+    else
+      recent[rng.next_below(recent.size())] = {x, y};
+  }
+  const Circuit& r = ref.circuit();
+  const Circuit c = b.build();
+  EXPECT_EQ(c.num_wires, r.num_wires);
+  EXPECT_EQ(c.gate_lanes, r.gate_lanes);
+  EXPECT_EQ(c.garbler_inputs, r.garbler_inputs);
+  EXPECT_EQ(c.evaluator_inputs, r.evaluator_inputs);
+  ASSERT_EQ(c.gates.size(), r.gates.size());
+  for (size_t g = 0; g < c.gates.size(); ++g) {
+    const Gate& x = c.gates[g];
+    const Gate& y = r.gates[g];
+    ASSERT_TRUE(x.a == y.a && x.b == y.b && x.out == y.out && x.op == y.op)
+        << "gate " << g;
+  }
+}
+
+TEST(Builder, StructuralHashingMatchesMapReference) {
+  for (uint64_t seed : {1u, 2u, 3u})
+    expect_matches_reference(seed, /*cse=*/true, 200000);
+  expect_matches_reference(4, /*cse=*/false, 20000);
+}
+
+// Golden netlist of benchmark 3 compact, taken from the compiler before
+// the CSE table was rewritten: a change to any gate, wire id, lane tag
+// or input binding of the chain fails here, not only downstream as a
+// different table size.
+TEST(Builder, PaperBenchmark3CompactNetlistIsPinned) {
+  const auto chain =
+      synth::compile_model_layers(core::paper_zoo()[2].compact);
+  uint64_t ands = 0, xors = 0;
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](uint64_t v) {  // FNV-1a over the u64's bytes
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const Circuit& c : chain) {
+    ands += c.stats().num_and;
+    xors += c.stats().num_xor;
+    mix(c.gate_lanes.size());
+    for (uint32_t lane : c.gate_lanes) mix(lane);
+    for (Wire w : c.garbler_inputs) mix(w);
+  }
+  EXPECT_EQ(ands, 3311005u);
+  EXPECT_EQ(xors, 7349373u);
+  EXPECT_EQ(chain_fingerprint(chain), 0x7a13a2d5d4e99636ull);
+  EXPECT_EQ(h, 0x5ad35df9b18e96d8ull);  // lanes and garbler inputs
 }
 
 TEST(Circuit, StatsCountGateClasses) {
